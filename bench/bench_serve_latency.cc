@@ -30,6 +30,7 @@
 
 #include "bench_util.h"
 #include "common/json.h"
+#include "common/threadpool.h"
 #include "core/bundle.h"
 #include "obs/metrics.h"
 #include "serve/client.h"
@@ -168,9 +169,15 @@ int Run(int argc, char** argv) {
   BenchEnv env = MakeEnv(/*num_templates=*/30, /*train_days=*/3, /*test_days=*/1);
   const std::vector<workload::JobInstance>& jobs = env.TestDay(0);
 
-  const std::string bundle_path =
-      (std::filesystem::temp_directory_path() / "phoebe_bench_serve.bundle")
-          .string();
+  // A private directory per run: concurrent runs would otherwise overwrite
+  // each other's bundle while the reload gate re-reads it.
+  std::string run_dir =
+      (std::filesystem::temp_directory_path() / "phoebe_bench_serve.XXXXXX").string();
+  if (::mkdtemp(run_dir.data()) == nullptr) {
+    std::perror("mkdtemp");
+    return 1;
+  }
+  const std::string bundle_path = run_dir + "/serve.bundle";
   env.phoebe->SaveBundle(bundle_path).Check();
   auto bundle = core::PipelineBundle::LoadFromFile(bundle_path);
   bundle.status().Check();
@@ -219,7 +226,7 @@ int Run(int argc, char** argv) {
                  static_cast<long long>(reload_series.reloads),
                  reload_series.p99_ms);
   }
-  std::filesystem::remove(bundle_path);
+  std::filesystem::remove_all(run_dir);
 
   if (registry) {
     std::ofstream tele(metrics_out, std::ios::binary);
@@ -237,6 +244,7 @@ int Run(int argc, char** argv) {
   json.KV("requests_per_thread", requests_per_thread);
   json.KV("max_batch", max_batch);
   json.KV("coalesce", coalesce);
+  json.KV("hardware_concurrency", ThreadPool::Resolve(0));
   json.Key("series").BeginArray();
   for (const SeriesResult& r : series) {
     json.BeginObject();

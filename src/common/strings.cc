@@ -1,10 +1,9 @@
 #include "common/strings.h"
 
 #include <cctype>
-#include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
 namespace phoebe {
 
@@ -21,6 +20,28 @@ std::vector<std::string> Split(const std::string& s, char sep) {
     start = pos + 1;
   }
   return out;
+}
+
+void SplitViews(std::string_view s, char sep, std::vector<std::string_view>* out) {
+  out->clear();
+  while (true) {
+    size_t pos = s.find(sep);
+    out->push_back(s.substr(0, pos));
+    if (pos == std::string_view::npos) return;
+    s.remove_prefix(pos + 1);
+  }
+}
+
+void AppendDouble17(std::string* out, double v) {
+  char buf[32];  // "-1.2345678901234567e-308" is the longest form: 24 chars
+  auto r = std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::general, 17);
+  out->append(buf, r.ptr);
+}
+
+void AppendInt(std::string* out, int64_t v) {
+  char buf[24];
+  auto r = std::to_chars(buf, buf + sizeof(buf), v);
+  out->append(buf, r.ptr);
 }
 
 std::string Join(const std::vector<std::string>& pieces, const std::string& sep) {
@@ -70,7 +91,7 @@ namespace {
 
 /// Quote a (possibly hostile/binary/huge) token for an error message:
 /// non-printable bytes become '?', long tokens truncate with an ellipsis.
-std::string QuoteToken(const std::string& token) {
+std::string QuoteToken(std::string_view token) {
   constexpr size_t kMax = 32;
   std::string q = "'";
   for (size_t i = 0; i < token.size() && i < kMax; ++i) {
@@ -82,56 +103,52 @@ std::string QuoteToken(const std::string& token) {
   return q;
 }
 
-Status BadToken(const char* what, const std::string& token) {
+Status BadToken(const char* what, std::string_view token) {
   return Status::InvalidArgument(std::string(what) + ": " + QuoteToken(token));
 }
 
-}  // namespace
-
-Status ParseInt64(const std::string& token, int64_t* out) {
+/// One from_chars path for every integer width: the whole token must be
+/// consumed and the value must fit T.
+template <typename T>
+Status ParseInteger(std::string_view token, const char* range_error, T* out) {
   if (token.empty()) return Status::InvalidArgument("empty integer token");
-  // strtoll skips leading whitespace; the strict contract forbids it.
-  if (std::isspace(static_cast<unsigned char>(token.front()))) {
-    return BadToken("integer token starts with whitespace", token);
-  }
-  errno = 0;
-  char* end = nullptr;
-  long long v = std::strtoll(token.c_str(), &end, 10);
-  if (errno == ERANGE) return BadToken("integer out of range", token);
-  if (end != token.c_str() + token.size()) {
-    return BadToken("not an integer", token);  // junk or embedded NUL
-  }
-  *out = static_cast<int64_t>(v);
-  return Status::OK();
-}
-
-Status ParseInt32(const std::string& token, int32_t* out) {
-  int64_t v = 0;
-  PHOEBE_RETURN_NOT_OK(ParseInt64(token, &v));
-  if (v < INT32_MIN || v > INT32_MAX) {
-    return BadToken("integer out of int32 range", token);
-  }
-  *out = static_cast<int32_t>(v);
-  return Status::OK();
-}
-
-Status ParseFiniteDouble(const std::string& token, double* out) {
-  if (token.empty()) return Status::InvalidArgument("empty numeric token");
-  if (std::isspace(static_cast<unsigned char>(token.front()))) {
-    return BadToken("numeric token starts with whitespace", token);
-  }
-  errno = 0;
-  char* end = nullptr;
-  double v = std::strtod(token.c_str(), &end);
-  if (end != token.c_str() + token.size()) return BadToken("not a number", token);
-  if (!std::isfinite(v)) {
-    return BadToken("number is not finite", token);  // ERANGE, inf, nan
+  T v = 0;
+  auto [end, ec] = std::from_chars(token.data(), token.data() + token.size(), v);
+  if (ec == std::errc::result_out_of_range) return BadToken(range_error, token);
+  if (ec != std::errc() || end != token.data() + token.size()) {
+    return BadToken("not an integer", token);  // junk, sign, space, NUL
   }
   *out = v;
   return Status::OK();
 }
 
-Status ParseHexU32(const std::string& token, uint32_t* out) {
+}  // namespace
+
+Status ParseInt64(std::string_view token, int64_t* out) {
+  return ParseInteger(token, "integer out of range", out);
+}
+
+Status ParseInt32(std::string_view token, int32_t* out) {
+  return ParseInteger(token, "integer out of int32 range", out);
+}
+
+Status ParseFiniteDouble(std::string_view token, double* out) {
+  if (token.empty()) return Status::InvalidArgument("empty numeric token");
+  double v = 0.0;
+  auto [end, ec] = std::from_chars(token.data(), token.data() + token.size(), v,
+                                   std::chars_format::general);
+  if (ec == std::errc::result_out_of_range) {
+    return BadToken("number out of range", token);  // 1e999, 1e-400
+  }
+  if (ec != std::errc() || end != token.data() + token.size()) {
+    return BadToken("not a number", token);
+  }
+  if (!std::isfinite(v)) return BadToken("number is not finite", token);  // inf, nan
+  *out = v;
+  return Status::OK();
+}
+
+Status ParseHexU32(std::string_view token, uint32_t* out) {
   if (token.empty() || token.size() > 8) {
     return BadToken("not an 8-digit-or-less hex token", token);
   }

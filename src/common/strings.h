@@ -4,6 +4,7 @@
 #include <cstdarg>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -12,6 +13,19 @@ namespace phoebe {
 
 /// Split `s` on `sep`, keeping empty pieces.
 std::vector<std::string> Split(const std::string& s, char sep);
+
+/// Split into views over `s` (which must outlive them), keeping empty
+/// pieces exactly like Split. `*out` is cleared first, so one vector can be
+/// reused across lines without reallocating.
+void SplitViews(std::string_view s, char sep, std::vector<std::string_view>* out);
+
+/// Append `v` formatted exactly as printf "%.17g" would (std::to_chars with
+/// chars_format::general and precision 17 is specified as that conversion),
+/// without the printf machinery. 17 significant digits round-trip every
+/// finite double through ParseFiniteDouble bit for bit.
+void AppendDouble17(std::string* out, double v);
+/// Append the decimal form of `v` ("%lld").
+void AppendInt(std::string* out, int64_t v);
 
 /// Join pieces with `sep`.
 std::string Join(const std::vector<std::string>& pieces, const std::string& sep);
@@ -32,18 +46,26 @@ bool Contains(const std::string& s, const std::string& sub);
 /// and out-of-range values instead of returning garbage or invoking UB, so a
 /// corrupted input surfaces as a clean error Status naming the offending
 /// token (never a crash; fuzz_parser_test pins this). The whole token must be
-/// the number; leading/trailing whitespace is rejected. On error `*out` is
-/// untouched. Callers that only want a yes/no test use `.ok()`; callers
-/// building a richer message can still wrap the returned Status.
-Status ParseInt32(const std::string& token, int32_t* out);
-Status ParseInt64(const std::string& token, int64_t* out);
+/// the number. On error `*out` is untouched. Callers that only want a yes/no
+/// test use `.ok()`; callers building a richer message can still wrap the
+/// returned Status.
+///
+/// Grammar: exactly what std::from_chars accepts, which is what every
+/// writer in the repo emits ("%d"/"%lld", "%.17g"/AppendDouble17):
+///   integer  -?[0-9]+
+///   double   -?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][+-]?[0-9]+)?
+/// No leading '+', no leading or trailing whitespace, no hex ("0x1p3"),
+/// and no underflow-to-zero ("1e-400"); strtod accepted those, no writer
+/// ever produced them. Subnormals are in range and round-trip.
+Status ParseInt32(std::string_view token, int32_t* out);
+Status ParseInt64(std::string_view token, int64_t* out);
 /// Accepts only finite values (inf/nan/overflow are rejected): every numeric
 /// field in the text formats is a finite quantity, and letting an overflowed
 /// 1e999 through as +inf would poison downstream arithmetic.
-Status ParseFiniteDouble(const std::string& token, double* out);
+Status ParseFiniteDouble(std::string_view token, double* out);
 /// Unsigned 32-bit hex token (no 0x prefix), e.g. a CRC-32 printed "%08x".
 /// Same strictness as the parsers above: the whole token must be hex digits.
-Status ParseHexU32(const std::string& token, uint32_t* out);
+Status ParseHexU32(std::string_view token, uint32_t* out);
 
 /// Human-readable byte count, e.g. "1.50 GB".
 std::string HumanBytes(double bytes);

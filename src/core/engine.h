@@ -13,6 +13,7 @@
 
 #include <array>
 #include <memory>
+#include <string_view>
 
 #include "core/bundle.h"
 #include "core/checkpoint.h"
@@ -164,6 +165,6 @@ const char* CostSourceToken(CostSource source);
 /// Inverse of CostSourceToken, for the serve wire protocol and CLI flags.
 /// Unknown tokens are an InvalidArgument naming the token; `*out` untouched
 /// on error.
-Status CostSourceFromToken(const std::string& token, CostSource* out);
+Status CostSourceFromToken(std::string_view token, CostSource* out);
 
 }  // namespace phoebe::core

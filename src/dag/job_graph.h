@@ -100,6 +100,8 @@ class JobGraph {
 
   /// Serialize to the textual job-graph format (see FromText).
   std::string ToText() const;
+  /// ToText appended to `*out` (the trace writer's single-buffer path).
+  void AppendText(std::string* out) const;
 
   /// Parse the textual format:
   ///   job <name>

@@ -71,8 +71,12 @@ class Gauge {
   std::atomic<double> v_{0.0};
 };
 
-/// \brief Fixed-bucket histogram: bucket i counts observations <= bounds[i],
-/// plus one overflow bucket. Bucket counts and the observation count are
+/// \brief Fixed-bucket histogram over half-open buckets: bucket 0 counts
+/// observations v < bounds[0], bucket i counts bounds[i-1] <= v < bounds[i],
+/// and the overflow bucket counts v >= bounds.back() (and NaN). A value equal
+/// to a bound therefore lands in the bucket above it (perfbench's
+/// `serve.batch.gt1_share` reads batches of exactly 1 from the [1, 2)
+/// bucket of `serve.batch.size`). Bucket counts and the observation count are
 /// exact under concurrency; `sum` is a relaxed float accumulation, so its
 /// last bits may depend on interleaving (fine for telemetry, never used in
 /// any decision).

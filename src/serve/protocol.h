@@ -22,7 +22,9 @@
 //
 // Payloads are themselves text documents built from existing formats:
 //   decide request   `decide_options <objective> <source> <num_cuts>\n`
-//                    + workload::SerializeTrace of exactly one job
+//                    + workload::SerializeTrace of exactly one job (numeric
+//                    tokens follow the from_chars grammar in
+//                    common/strings.h; doubles are "%.17g" bytes)
 //   decision reply   `decision <bundle-checksum hex8>\n` + one shard-blob
 //                    job record (`job 0 ...` / `cut <bits>`; see
 //                    core/fleet_shard.h) — the decision wire format IS the
@@ -63,7 +65,7 @@ enum class FrameType {
 /// Wire token for a frame type ("decide", "decision", ...).
 const char* FrameTypeToken(FrameType type);
 /// Inverse of FrameTypeToken; unknown tokens are an error.
-Status FrameTypeFromToken(const std::string& token, FrameType* out);
+Status FrameTypeFromToken(std::string_view token, FrameType* out);
 
 /// \brief One protocol frame: type + request id + raw payload bytes.
 struct Frame {
@@ -136,6 +138,6 @@ Status ParseDecideResponse(const std::string& payload, DecideResponse* out);
 /// Wire token for an objective ("temp" / "recovery"), matching the CLI.
 const char* ObjectiveToken(core::Objective objective);
 /// Inverse of ObjectiveToken; unknown tokens are an error.
-Status ObjectiveFromToken(const std::string& token, core::Objective* out);
+Status ObjectiveFromToken(std::string_view token, core::Objective* out);
 
 }  // namespace phoebe::serve

@@ -14,8 +14,9 @@
 //                        ▼
 //   worker threads: pop up to `max_batch` requests in one go (coalescing;
 //   `coalesce=false` degrades to batches of 1), decide each via a const
-//   DecisionEngine over the request's *pinned* bundle, write the response
-//   frame back under the connection's write mutex.
+//   DecisionEngine over the request's *pinned* bundle and DecideJobInto on
+//   the worker's own DecideScratch arena, write the response frame back
+//   under the connection's write mutex.
 //
 // Hot reload: the served bundle lives in a std::atomic<shared_ptr<const
 // PipelineBundle>>. Reload() loads + verifies the new file (checksum-gated
@@ -25,9 +26,10 @@
 // response. The swap is logged with old → new checksums and counted in
 // `serve.reloads`.
 //
-// Determinism: DecideJob is a pure function of (bundle, options, job,
-// stats), the queue only reorders *between* requests (each response carries
-// its request id), and metrics are strictly passive — so socket answers are
+// Determinism: DecideJobInto is a pure function of (bundle, options, job,
+// stats) whatever arena it runs on, the queue only reorders *between*
+// requests (each response carries its request id), and metrics are strictly
+// passive — so socket answers are
 // byte-identical to direct DecisionEngine calls for any worker count,
 // coalescing mode, and metrics setting, before/during/after a reload to the
 // same artifact (serve_determinism_test pins this; serve_concurrency_test

@@ -3,6 +3,7 @@
 // shipped, and replayed without the generator.
 #pragma once
 
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -24,6 +25,9 @@ namespace phoebe::workload {
 ///
 /// Names must not contain whitespace (generated names never do).
 std::string SerializeTrace(const std::vector<JobInstance>& jobs);
+/// SerializeTrace appended to `*out`, so a caller framing one job (the serve
+/// decide request) builds its payload in one buffer without copying the job.
+void AppendTrace(std::span<const JobInstance> jobs, std::string* out);
 
 /// Parse a trace produced by SerializeTrace. Validates graph structure and
 /// per-stage array sizes. Sole Status-first entry point: on error `*out`

@@ -2,7 +2,11 @@
 // strings, JSON writer, and the table printer.
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <random>
 #include <set>
 
 #include "common/json.h"
@@ -304,6 +308,170 @@ TEST(StringsTest, ToLower) { EXPECT_EQ(ToLower("AbC_9z"), "abc_9z"); }
 TEST(StringsTest, StrFormat) {
   EXPECT_EQ(StrFormat("%d-%s", 4, "x"), "4-x");
   EXPECT_EQ(StrFormat("%.2f", 1.005), "1.00");
+}
+
+TEST(StringsTest, SplitViewsKeepsEmptyPiecesLikeSplit) {
+  std::vector<std::string_view> views = {"stale"};
+  for (const std::string& s : {std::string("a,b,,c"), std::string(""), std::string("x,"),
+                               std::string(",")}) {
+    SplitViews(s, ',', &views);
+    const std::vector<std::string> copies = Split(s, ',');
+    ASSERT_EQ(views.size(), copies.size()) << "'" << s << "'";
+    for (size_t i = 0; i < views.size(); ++i) EXPECT_EQ(views[i], copies[i]);
+  }
+}
+
+TEST(StringsTest, AppendIntMatchesPrintf) {
+  for (int64_t v : {int64_t{0}, int64_t{-1}, int64_t{42}, int64_t{-2147483648LL},
+                    std::numeric_limits<int64_t>::min(), std::numeric_limits<int64_t>::max()}) {
+    std::string s = "x";
+    AppendInt(&s, v);
+    EXPECT_EQ(s, "x" + StrFormat("%lld", static_cast<long long>(v)));
+  }
+}
+
+std::string Fast17(double v) {
+  std::string s;
+  AppendDouble17(&s, v);
+  return s;
+}
+
+/// AppendDouble17 must emit the printf "%.17g" bytes (the text formats were
+/// written with printf before, and every checked-in artifact pins them), and
+/// ParseFiniteDouble must read them back bit for bit.
+void ExpectPrintfIdenticalAndRoundTrips(double v) {
+  const std::string fast = Fast17(v);
+  ASSERT_EQ(fast, StrFormat("%.17g", v));
+  double back = 0.0;
+  ASSERT_TRUE(ParseFiniteDouble(fast, &back).ok()) << fast;
+  uint64_t a = 0, b = 0;
+  std::memcpy(&a, &v, sizeof(v));
+  std::memcpy(&b, &back, sizeof(back));
+  ASSERT_EQ(a, b) << fast;
+}
+
+TEST(StringsTest, AppendDouble17MatchesPrintfOnEdgeValues) {
+  const double kEdges[] = {
+      0.0, -0.0, 0.1, -0.1, 0.5, 1.0 / 3.0, 100.5, 12345.678,
+      std::numeric_limits<double>::denorm_min(), -std::numeric_limits<double>::denorm_min(),
+      1.5e-310, std::nextafter(DBL_MIN, 0.0), DBL_MIN, -DBL_MIN, DBL_MAX, -DBL_MAX,
+      1e-5, 1e-4, 9.9999999999999995e-5,              // %g's exponent-form boundary
+      1e15, 1e16, 1e16 + 2.0, 9007199254740993.0,     // integers near 2^53..1e17
+      99999999999999984.0, 1e17, 123456789012345678.0, 1e17 + 16.0,
+      5e8, 1e300, -2.5e-3};
+  for (double v : kEdges) ExpectPrintfIdenticalAndRoundTrips(v);
+}
+
+TEST(StringsTest, AppendDouble17MatchesPrintfOnRandomBitPatterns) {
+  std::mt19937_64 gen(0xd0b1e17);
+  int checked = 0;
+  while (checked < (1 << 20)) {
+    const uint64_t bits = gen();
+    double v = 0.0;
+    std::memcpy(&v, &bits, sizeof(v));
+    if (!std::isfinite(v)) continue;
+    ExpectPrintfIdenticalAndRoundTrips(v);
+    if (::testing::Test::HasFatalFailure()) return;  // one message, not a million
+    ++checked;
+  }
+}
+
+TEST(StringsTest, ParseFiniteDoubleGrammarTable) {
+  struct Case {
+    std::string token;
+    bool ok;
+    double value;
+  };
+  const Case kCases[] = {
+      {"0", true, 0.0},
+      {"-0", true, -0.0},
+      {"1.5", true, 1.5},
+      {"1e+20", true, 1e20},
+      {"1E5", true, 1e5},
+      {".5", true, 0.5},
+      {"5.", true, 5.0},
+      {"007", true, 7.0},
+      {"-2.5e-3", true, -2.5e-3},
+      {"1.7976931348623157e+308", true, DBL_MAX},
+      {"4.9406564584124654e-324", true, std::numeric_limits<double>::denorm_min()},
+      {"2.2250738585072009e-308", true, std::nextafter(DBL_MIN, 0.0)},
+      // Narrowed against strtod: no leading '+', no hex, no underflow to 0.
+      {"+1", false, 0},
+      {"0x1p3", false, 0},
+      {"0x10", false, 0},
+      {"1e-400", false, 0},
+      // Out of range, not finite, or not the whole token.
+      {"1e999", false, 0},
+      {"-1e999", false, 0},
+      {"nan", false, 0},
+      {"inf", false, 0},
+      {"-inf", false, 0},
+      {"infinity", false, 0},
+      {"", false, 0},
+      {" 1", false, 0},
+      {"\t1", false, 0},
+      {"1 ", false, 0},
+      {"1\r", false, 0},
+      {std::string("1\0", 2), false, 0},
+      {"1x", false, 0},
+      {"1e", false, 0},
+      {"--1", false, 0},
+      {"-", false, 0},
+  };
+  for (const Case& c : kCases) {
+    double out = 42.0;
+    Status st = ParseFiniteDouble(c.token, &out);
+    EXPECT_EQ(st.ok(), c.ok) << "'" << c.token << "': " << st.ToString();
+    if (c.ok) {
+      EXPECT_EQ(out, c.value) << c.token;
+      EXPECT_EQ(std::signbit(out), std::signbit(c.value)) << c.token;
+    } else {
+      EXPECT_EQ(out, 42.0) << "out-param mutated on error: '" << c.token << "'";
+    }
+  }
+}
+
+TEST(StringsTest, ParseIntGrammarTable) {
+  struct Case {
+    std::string token;
+    bool ok;
+    int64_t value;
+  };
+  const Case kCases[] = {
+      {"0", true, 0},
+      {"-0", true, 0},
+      {"007", true, 7},
+      {"-17", true, -17},
+      {"9223372036854775807", true, std::numeric_limits<int64_t>::max()},
+      {"-9223372036854775808", true, std::numeric_limits<int64_t>::min()},
+      {"+1", false, 0},
+      {"0x10", false, 0},
+      {"9223372036854775808", false, 0},
+      {"-9223372036854775809", false, 0},
+      {"1e999", false, 0},
+      {"nan", false, 0},
+      {"", false, 0},
+      {" 1", false, 0},
+      {"1 ", false, 0},
+      {std::string("1\0", 2), false, 0},
+      {"1.0", false, 0},
+      {"1e3", false, 0},
+      {"-", false, 0},
+  };
+  for (const Case& c : kCases) {
+    int64_t out = 42;
+    Status st = ParseInt64(c.token, &out);
+    EXPECT_EQ(st.ok(), c.ok) << "'" << c.token << "': " << st.ToString();
+    EXPECT_EQ(out, c.ok ? c.value : 42) << "'" << c.token << "'";
+  }
+  int32_t out32 = 42;
+  EXPECT_TRUE(ParseInt32("2147483647", &out32).ok());
+  EXPECT_EQ(out32, 2147483647);
+  out32 = 42;
+  EXPECT_FALSE(ParseInt32("2147483648", &out32).ok());
+  EXPECT_FALSE(ParseInt32("-2147483649", &out32).ok());
+  EXPECT_FALSE(ParseInt32("+5", &out32).ok());
+  EXPECT_EQ(out32, 42);
 }
 
 TEST(StringsTest, Predicates) {

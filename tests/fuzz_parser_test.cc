@@ -5,7 +5,9 @@
 // ASan/UBSan config for full effect. The checked-in corpus under
 // tests/fuzz_corpus/ pins inputs that broke earlier parser revisions
 // (reserve bombs from lying headers, integer-overflow UB in atoi-based
-// field parsing, nan/inf fields, mid-job truncation).
+// field parsing, nan/inf fields, mid-job truncation) and the edges of the
+// from_chars tokenizer: CRLF line endings, blank lines inside a graph block
+// (still valid), and `+`, hex, and 1e999 numeric tokens (rejected).
 #include <gtest/gtest.h>
 
 #include <algorithm>

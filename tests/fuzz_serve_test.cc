@@ -3,8 +3,11 @@
 // request payload, the decision response payload — must return a clean error
 // Status for ANY input and never crash, mutate out-params on error, or trip a
 // sanitizer. The checked-in corpus pins one valid request frame (so format
-// drift that breaks old clients is caught) and one regression frame with a
-// flipped CRC digit (the checksum gate must fire on a well-shaped header).
+// drift that breaks old clients is caught), one regression frame with a
+// flipped CRC digit (the checksum gate must fire on a well-shaped header),
+// and correctly framed payloads that only the tokenizer can reject: CRLF
+// line endings, a blank line inside the graph block (parses, but is not the
+// canonical form), and `+`, hex, and 1e999 numeric tokens.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -122,6 +125,21 @@ TEST(FuzzServeCorpusTest, BadCrcRegressionFailsOnTheChecksumGate) {
   // Out-params untouched on error.
   EXPECT_EQ(frame.payload, "sentinel");
   EXPECT_EQ(frame.id, 99u);
+}
+
+TEST(FuzzServeCorpusTest, ValidRequestSeedReencodesByteIdentically) {
+  // The seed was written by an earlier codec; today's writer must reproduce
+  // it byte for byte from what today's reader parsed out of it.
+  const std::string wire = ReadFileOrDie(
+      std::filesystem::path(PHOEBE_FUZZ_CORPUS_DIR) / "serve_request_valid.bin");
+  serve::Frame frame;
+  ASSERT_TRUE(serve::ParseFrame(wire, &frame).ok());
+  serve::DecideRequest request;
+  Status st = serve::ParseDecideRequest(frame.payload, &request);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(serve::EncodeFrame({frame.type, frame.id,
+                                serve::SerializeDecideRequest(request.job, request.options)}),
+            wire);
 }
 
 TEST(FuzzServeTest, FrameAndRequestPathSurvivesCorruption) {

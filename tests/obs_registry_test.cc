@@ -5,6 +5,7 @@
 // snapshots byte-identically.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
 #include <thread>
 #include <vector>
@@ -26,8 +27,8 @@ TEST(ObsRegistryTest, CounterGaugeHistogramBasics) {
   EXPECT_EQ(g->value(), 2.5);
 
   Histogram* h = reg.histogram("h", {1.0, 10.0});
-  h->Observe(0.5);   // bucket 0 (<= 1)
-  h->Observe(5.0);   // bucket 1 (<= 10)
+  h->Observe(0.5);   // bucket 0 (< 1)
+  h->Observe(5.0);   // bucket 1 ([1, 10))
   h->Observe(100.0); // overflow bucket
   EXPECT_EQ(h->count(), 3);
   EXPECT_EQ(h->sum(), 105.5);
@@ -40,6 +41,22 @@ TEST(ObsRegistryTest, CounterGaugeHistogramBasics) {
   EXPECT_EQ(hv.buckets[0], 1);
   EXPECT_EQ(hv.buckets[1], 1);
   EXPECT_EQ(hv.buckets[2], 1);
+}
+
+TEST(ObsRegistryTest, ValueEqualToABoundLandsInTheBucketAbove) {
+  // Buckets are half-open [bounds[i-1], bounds[i]): a value equal to a bound
+  // counts in the next bucket up, and one equal to the last bound overflows.
+  MetricsRegistry reg;
+  Histogram* h = reg.histogram("edges", {1.0, 2.0});
+  h->Observe(1.0);
+  h->Observe(2.0);
+  h->Observe(std::nextafter(1.0, 0.0));
+  MetricsSnapshot snap = reg.Snapshot();
+  const auto& hv = snap.histograms.at("edges");
+  ASSERT_EQ(hv.buckets.size(), 3u);
+  EXPECT_EQ(hv.buckets[0], 1);  // just below 1.0
+  EXPECT_EQ(hv.buckets[1], 1);  // exactly 1.0
+  EXPECT_EQ(hv.buckets[2], 1);  // exactly 2.0, the last bound
 }
 
 TEST(ObsRegistryTest, RegistrationReturnsStablePointers) {

@@ -4,6 +4,7 @@
 // Status with out-params untouched.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -176,6 +177,70 @@ TEST(ServeDecideRequestTest, RoundTripsJobAndOptions) {
   EXPECT_EQ(parsed.options.num_cuts, options.num_cuts);
   // The job round-trips byte-exactly through the trace format.
   EXPECT_EQ(workload::SerializeTrace({parsed.job}), workload::SerializeTrace({job}));
+}
+
+/// A fixed two-stage job whose doubles cover the "%.17g" corner cases: a
+/// value that needs all 17 digits, exponent forms on both sides, an
+/// integer beyond 2^53, a subnormal, and signed zero.
+workload::JobInstance GoldenJob() {
+  workload::JobInstance job;
+  job.job_id = 9001;
+  job.template_id = 3;
+  job.day = 12;
+  job.submit_time = 3601.25;
+  job.job_name = "golden_job";
+  job.norm_input_name = "shares/golden/part.ss";
+  job.graph.set_name("golden_job");
+  dag::Stage a;
+  a.name = "SV1_Extract_Filter";
+  a.stage_type = 0;
+  a.num_tasks = 8;
+  a.operators = {dag::OperatorKind::kExtract, dag::OperatorKind::kFilter};
+  dag::Stage b;
+  b.name = "SV2_Output";
+  b.stage_type = 32;
+  b.num_tasks = 1;
+  b.operators = {dag::OperatorKind::kOutput};
+  job.graph.AddStage(a);
+  job.graph.AddStage(b);
+  job.graph.AddEdge(0, 1).Check();
+  job.truth = {{1234567890.125, 0.1, 1.0 / 3.0, 12.5, 8, 0.0, 12.5, 1e-5, 0.0},
+               {1e17, 4.9406564584124654e-324, 2.5e-7, 6.0, 1, 12.5, 18.5, -0.0, 12.5}};
+  job.est = {{1.0, 0.5, 123456789012345678.0, 1e16 + 2.0, 1.5e300},
+             {0.6, 0.30000000000000004, 500.0, 9.9999999999999995e-5, 0.0}};
+  return job;
+}
+
+TEST(ServeDecideRequestTest, GoldenBytesArePinned) {
+  // Checked-in bytes, not a second serializer: the wire form of a decide
+  // request must never drift, whatever produces it. These were written by
+  // the printf-based codec and pin the to_chars one to the same bytes.
+  const std::string kGolden =
+      "decide_options recovery opt_est 2\n"
+      "trace v1 1\n"
+      "beginjob 9001 3 12 3601.25 golden_job shares/golden/part.ss\n"
+      "job golden_job\n"
+      "stage SV1_Extract_Filter 0 8 Extract,Filter\n"
+      "stage SV2_Output 32 1 Output\n"
+      "edge 0 1\n"
+      "endgraph\n"
+      "truth 1234567890.125 0.10000000000000001 0.33333333333333331 12.5 8 0 12.5 1.0000000000000001e-05 0\n"
+      "truth 1e+17 4.9406564584124654e-324 2.4999999999999999e-07 6 1 12.5 18.5 -0 12.5\n"
+      "est 1 0.5 1.2345678901234568e+17 10000000000000002 1.5000000000000001e+300\n"
+      "est 0.59999999999999998 0.30000000000000004 500 9.9999999999999991e-05 0\n"
+      "endjob\n";
+  core::DecideOptions options;
+  options.objective = core::Objective::kRecovery;
+  options.source = core::CostSource::kOptimizerEstimates;
+  options.num_cuts = 2;
+  const std::string payload = SerializeDecideRequest(GoldenJob(), options);
+  EXPECT_EQ(payload, kGolden);
+  DecideRequest parsed;
+  Status st = ParseDecideRequest(payload, &parsed);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(SerializeDecideRequest(parsed.job, parsed.options), kGolden);
+  EXPECT_TRUE(std::signbit(parsed.job.truth[1].ttl));
+  EXPECT_EQ(parsed.job.truth[1].output_bytes, 4.9406564584124654e-324);
 }
 
 TEST(ServeDecideRequestTest, RejectsMalformedPayloads) {

@@ -5,8 +5,10 @@
 
 #include <cmath>
 #include <set>
+#include <span>
 
 #include "common/stats.h"
+#include "common/strings.h"
 #include "workload/generator.h"
 #include "workload/stage_type.h"
 #include "workload/trace.h"
@@ -372,6 +374,88 @@ TEST(TraceTest, RejectsMalformedInput) {
   size_t pos = text.find("truth ");
   ASSERT_NE(pos, std::string::npos);
   EXPECT_FALSE(ParseTraceText(text.substr(0, pos)).ok());
+}
+
+TEST(TraceTest, NumericFieldsAreThePrintfBytes) {
+  // The writer no longer goes through printf, but its bytes must be exactly
+  // what "%.17g"/"%d" produced: rebuild a generated day with StrFormat and
+  // compare the whole document.
+  WorkloadGenerator gen(SmallConfig(33));
+  auto jobs = gen.GenerateDay(3);
+  ASSERT_FALSE(jobs.empty());
+  std::string reference = StrFormat("trace v1 %zu\n", jobs.size());
+  for (const JobInstance& job : jobs) {
+    reference += StrFormat("beginjob %lld %d %d %.17g %s %s\n",
+                           static_cast<long long>(job.job_id), job.template_id, job.day,
+                           job.submit_time, job.job_name.c_str(),
+                           job.norm_input_name.c_str());
+    reference += "job " + job.graph.name() + "\n";
+    for (const dag::Stage& s : job.graph.stages()) {
+      std::vector<std::string> ops;
+      for (dag::OperatorKind k : s.operators) ops.push_back(dag::OperatorKindName(k));
+      reference += StrFormat("stage %s %d %d %s\n", s.name.c_str(), s.stage_type,
+                             s.num_tasks, Join(ops, ",").c_str());
+    }
+    for (const dag::Edge& e : job.graph.edges()) {
+      reference += StrFormat("edge %d %d\n", e.from, e.to);
+    }
+    reference += "endgraph\n";
+    for (const StageTruth& t : job.truth) {
+      reference += StrFormat("truth %.17g %.17g %.17g %.17g %d %.17g %.17g %.17g %.17g\n",
+                             t.input_bytes, t.output_bytes, t.exec_seconds,
+                             t.wall_seconds, t.num_tasks, t.start_time, t.end_time, t.ttl,
+                             t.tfs);
+    }
+    for (const StageEstimates& e : job.est) {
+      reference += StrFormat("est %.17g %.17g %.17g %.17g %.17g\n", e.est_cost,
+                             e.est_exclusive_cost, e.est_input_cardinality,
+                             e.est_cardinality, e.est_output_bytes);
+    }
+    reference += "endjob\n";
+  }
+  EXPECT_EQ(SerializeTrace(jobs), reference);
+}
+
+TEST(TraceTest, AppendTraceAppendsTheSerializeTraceBytes) {
+  WorkloadGenerator gen(SmallConfig(34));
+  auto jobs = gen.GenerateDay(0);
+  ASSERT_GE(jobs.size(), 2u);
+  std::string out = "prefix\n";
+  AppendTrace(std::span<const JobInstance>(jobs.data(), 2), &out);
+  EXPECT_EQ(out, "prefix\n" + SerializeTrace({jobs[0], jobs[1]}));
+}
+
+TEST(TraceTest, GraphBlockToleratesBlankLinesAndCarriageReturns) {
+  // The graph block is handed to JobGraph::FromText as a view of the trace,
+  // so FromText's leniency (blank lines, trailing CR) applies inside it.
+  WorkloadGenerator gen(SmallConfig(35));
+  const std::string text = SerializeTrace({gen.GenerateDay(0).front()});
+  const size_t graph = text.find("\njob ") + 1;
+  const size_t first_stage = text.find("\nstage ", graph) + 1;
+  std::string lenient = text;
+  lenient.insert(first_stage, "\n  \n\r\n");
+  lenient.insert(text.find('\n', graph), "\r");
+  std::vector<JobInstance> parsed;
+  Status st = ParseTrace(lenient, &parsed);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(SerializeTrace(parsed), text);
+}
+
+TEST(TraceTest, NarrowedNumericTokensAreRejected) {
+  WorkloadGenerator gen(SmallConfig(36));
+  const std::string text = SerializeTrace({gen.GenerateDay(0).front()});
+  // Replace the first truth field: strtod took "+1" and "0x1p3"; from_chars
+  // (the only parser now) does not, and 1e999 is out of range either way.
+  const size_t field = text.find("\ntruth ") + 7;
+  const size_t end = text.find(' ', field);
+  for (const char* token : {"+1", "0x1p3", "1e999", "nan", "1e-400"}) {
+    std::string bad = text;
+    bad.replace(field, end - field, token);
+    EXPECT_FALSE(ParseTraceText(bad).ok()) << token;
+  }
+  std::string crlf = text;
+  crlf.insert(crlf.find('\n', field), "\r");  // CR ends a truth field: junk
+  EXPECT_FALSE(ParseTraceText(crlf).ok());
 }
 
 TEST(TraceTest, EmptyTraceIsValid) {
