@@ -1,24 +1,21 @@
 // Decision-throughput bench for the fleet hot path: one large recurring day
-// (10k jobs by default) through FleetDriver::RunDay on a single thread, at
-// the four corners of {batched inference on/off} x {template cache on/off}.
-// Reports decisions/sec, stage-scorings/sec, and the cache hit rate as JSON
-// on stdout (human-readable progress on stderr).
+// (10k jobs by default) through FleetDriver::RunDay on a single thread, with
+// the template cache off and on. Reports decisions/sec, stage-scorings/sec,
+// and the cache hit rate as JSON on stdout (human-readable progress on
+// stderr).
 //
 // Two correctness gates make this bench double as a regression check (the
 // nightly CI job fails on a nonzero exit):
-//   1. Batched and scalar inference must produce byte-identical reports —
-//      the PredictBatch overrides are bit-equal to scalar Predict.
-//   2. At zero drift tolerance (quantize_bps = 0) all four configurations
-//      must produce byte-identical reports — exact-mode cache hits replay
-//      provably identical decisions.
+//   1. At zero drift tolerance (quantize_bps = 0) the cached and uncached
+//      runs must produce byte-identical reports — exact-mode cache hits
+//      replay provably identical decisions.
+//   2. The observability layer: the cache-off run is repeated with a
+//      MetricsRegistry attached (min-of-3 each way). Reports must stay
+//      byte-identical with telemetry on — always fatal — and when
+//      --gate-overhead-bps N is passed (the nightly CI does, with N=200 = 2%)
+//      the measured overhead must stay under N basis points of decide time.
 // The timed runs use an approximate cache (--cache-bps, default 5000) since
 // that is the configuration that shows real hit rates on noisy recurrences.
-//
-// A third gate covers the observability layer: the "batch" corner re-runs
-// with a MetricsRegistry attached (min-of-3 each way). Reports must stay
-// byte-identical with telemetry on — always fatal — and when
-// --gate-overhead-bps N is passed (the nightly CI does, with N=200 = 2%)
-// the measured overhead must stay under N basis points of decide time.
 // --metrics-out writes the instrumented run's telemetry JSONL artifact.
 //
 // Usage: bench_decide_throughput [--jobs N] [--num-cuts K]
@@ -35,6 +32,7 @@
 
 #include "bench_util.h"
 #include "common/json.h"
+#include "common/threadpool.h"
 #include "core/engine.h"
 #include "core/fleet.h"
 #include "obs/metrics.h"
@@ -90,13 +88,11 @@ bool ReportsIdentical(const core::FleetDayReport& a, const core::FleetDayReport&
 }
 
 struct ConfigRun {
-  ConfigRun(const char* n, bool b, bool c) : name(n), batch(b), cache(c) {}
+  ConfigRun(const char* n, bool c) : name(n), cache(c) {}
   const char* name;
-  bool batch;
   bool cache;
   double seconds = 0.0;
   double hit_rate = 0.0;
-  core::FleetDayReport report;
 };
 
 int Run(int argc, char** argv) {
@@ -136,9 +132,8 @@ int Run(int argc, char** argv) {
                jobs.size(), static_cast<long long>(eligible),
                static_cast<long long>(eligible_stages));
 
-  auto run_one = [&](bool batch, bool cache, int bps, core::FleetDayReport* report,
+  auto run_one = [&](bool cache, int bps, core::FleetDayReport* report,
                      double* hit_rate) -> double {
-    env.phoebe->set_batch_inference(batch);
     core::FleetConfig cfg;
     cfg.num_cuts = num_cuts;
     cfg.num_threads = 1;
@@ -156,46 +151,30 @@ int Run(int argc, char** argv) {
                                     static_cast<double>(lookups)
                               : 0.0;
     }
-    *report = *std::move(r);
+    if (report) *report = *std::move(r);
     return Seconds(t0, t1);
   };
 
-  // Timed runs: the four corners, approximate cache for the cached corners.
-  std::vector<ConfigRun> runs = {
-      {"scalar", false, false},
-      {"batch", true, false},
-      {"scalar+cache", false, true},
-      {"batch+cache", true, true},
-  };
+  // Timed runs: cache off, then the approximate cache.
+  std::vector<ConfigRun> runs = {{"cache_off", false}, {"cache_on", true}};
   for (ConfigRun& run : runs) {
-    run.seconds = run_one(run.batch, run.cache, cache_bps, &run.report, &run.hit_rate);
-    std::fprintf(stderr, "%-13s %.3f s  (hit rate %.2f)\n", run.name, run.seconds,
+    run.seconds = run_one(run.cache, cache_bps, nullptr, &run.hit_rate);
+    std::fprintf(stderr, "%-10s %.3f s  (hit rate %.2f)\n", run.name, run.seconds,
                  run.hit_rate);
   }
   const double base_seconds = runs.front().seconds;
 
-  // Gate 1: batched inference must not change any decision (lossless, so it
-  // holds at the approximate-cache corners too, config against config).
-  bool batch_identical = ReportsIdentical(runs[0].report, runs[1].report) &&
-                         ReportsIdentical(runs[2].report, runs[3].report);
-
-  // Gate 2: at zero drift tolerance, all four corners are byte-identical.
-  bool exact_identical = true;
+  // Gate 1: at zero drift tolerance, the cached run is byte-identical to the
+  // uncached one.
+  bool exact_identical = false;
   {
-    core::FleetDayReport exact_base;
-    double hr = 0.0;
-    run_one(false, false, 0, &exact_base, nullptr);
-    for (bool batch : {false, true}) {
-      for (bool cache : {false, true}) {
-        core::FleetDayReport r;
-        run_one(batch, cache, 0, &r, &hr);
-        if (!ReportsIdentical(exact_base, r)) exact_identical = false;
-      }
-    }
+    core::FleetDayReport exact_off, exact_on;
+    run_one(false, 0, &exact_off, nullptr);
+    run_one(true, 0, &exact_on, nullptr);
+    exact_identical = ReportsIdentical(exact_off, exact_on);
   }
-  env.phoebe->set_batch_inference(true);  // restore the default
 
-  // Gate 3: the observability layer. Re-run the batch corner with a
+  // Gate 2: the observability layer. Re-run the cache-off day with a
   // MetricsRegistry attached to both the engine and the driver; min-of-3
   // per side to shave scheduler noise. Byte-identical reports are a hard
   // requirement; the overhead gate is opt-in (nightly CI passes
@@ -255,22 +234,21 @@ int Run(int argc, char** argv) {
   json.KV("num_cuts", num_cuts);
   json.KV("cache_capacity", cache_capacity);
   json.KV("cache_bps", cache_bps);
+  json.KV("hardware_concurrency", ThreadPool::Resolve(0));
   json.Key("series").BeginArray();
   for (const ConfigRun& run : runs) {
     json.BeginObject();
     json.KV("config", run.name);
-    json.KV("batch", run.batch);
     json.KV("cache", run.cache);
     json.KV("seconds", run.seconds);
     json.KV("decisions_per_sec", static_cast<double>(eligible) / run.seconds);
     json.KV("stage_scorings_per_sec",
             static_cast<double>(eligible_stages) / run.seconds);
     json.KV("cache_hit_rate", run.hit_rate);
-    json.KV("speedup_vs_scalar", base_seconds / run.seconds);
+    json.KV("speedup_vs_cache_off", base_seconds / run.seconds);
     json.EndObject();
   }
   json.EndArray();
-  json.KV("batch_reports_identical", batch_identical);
   json.KV("exact_mode_reports_identical", exact_identical);
   json.Key("metrics_overhead").BeginObject();
   json.KV("plain_seconds", plain_seconds);
@@ -282,10 +260,6 @@ int Run(int argc, char** argv) {
   json.EndObject();
   std::printf("%s\n", json.str().c_str());
 
-  if (!batch_identical) {
-    std::fprintf(stderr, "FAIL: batched inference changed a decision\n");
-    return 1;
-  }
   if (!exact_identical) {
     std::fprintf(stderr, "FAIL: exact-mode cache changed a decision\n");
     return 1;

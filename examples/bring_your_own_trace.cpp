@@ -3,10 +3,12 @@
 // Production users do not have this repo's workload generator — they have
 // traces. This example writes a trace file (here produced by the generator,
 // in practice exported from your engine's telemetry), then runs the whole
-// lifecycle from the trace alone: parse -> repository -> train -> persist the
-// models -> reload them in a fresh process-like pipeline -> decide.
+// lifecycle from the trace alone: parse -> repository -> train -> save the
+// bundle -> reload it in a fresh process-like pipeline -> decide.
 //
 //   $ ./build/examples/bring_your_own_trace [trace-file]
+#include <unistd.h>
+
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -58,17 +60,22 @@ int main(int argc, char** argv) {
     last_day = day;
   }
 
-  // --- 3. Train on all but the last day; persist the models.
+  // --- 3. Train on all but the last day; persist the trained state as one
+  // checksummed bundle file (models, statistics snapshot and config).
   core::PhoebePipeline phoebe;
   phoebe.Train(repo, 0, last_day).Check();
-  const std::string model_dir = "/tmp/phoebe_example_models";
-  phoebe.Save(model_dir).Check();
-  std::printf("trained on days 0..%d and saved models to %s/\n", last_day - 1,
-              model_dir.c_str());
+  const std::string bundle_path =
+      (std::filesystem::temp_directory_path() /
+       ("phoebe_example_" + std::to_string(::getpid()) + ".phoebe"))
+          .string();
+  phoebe.SaveBundle(bundle_path).Check();
+  std::printf("trained on days 0..%d and saved the bundle to %s\n", last_day - 1,
+              bundle_path.c_str());
 
-  // --- 4. A "fresh deployment" loads the models and serves decisions.
+  // --- 4. A "fresh deployment" loads the bundle and serves decisions.
   core::PhoebePipeline deployed;
-  deployed.Load(model_dir).Check();
+  deployed.LoadBundle(bundle_path).Check();
+  std::filesystem::remove(bundle_path);
   const auto& serve_jobs = repo.Day(last_day);
   double saving = 0.0, total = 0.0;
   int checkpointed = 0;

@@ -1,5 +1,6 @@
 #include "common/strings.h"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <cmath>
@@ -30,6 +31,29 @@ void SplitViews(std::string_view s, char sep, std::vector<std::string_view>* out
     if (pos == std::string_view::npos) return;
     s.remove_prefix(pos + 1);
   }
+}
+
+LineCursor::LineCursor(std::string_view text)
+    : rest_(text),
+      lines_left_(static_cast<size_t>(std::count(text.begin(), text.end(), '\n')) + 1) {}
+
+bool LineCursor::Next(std::string_view* line) {
+  while (!rest_.empty()) {
+    const size_t nl = rest_.find('\n');
+    *line = rest_.substr(0, nl);
+    rest_.remove_prefix(nl == std::string_view::npos ? rest_.size() : nl + 1);
+    --lines_left_;
+    if (!line->empty()) return true;
+  }
+  return false;
+}
+
+Status LineCursor::CheckCount(int64_t count, std::string_view what) const {
+  if (count >= 0 && static_cast<uint64_t>(count) <= lines_left_) return Status::OK();
+  return Status::InvalidArgument(StrFormat("declared %lld %.*s, but only %zu lines remain",
+                                           static_cast<long long>(count),
+                                           static_cast<int>(what.size()), what.data(),
+                                           lines_left_));
 }
 
 void AppendDouble17(std::string* out, double v) {

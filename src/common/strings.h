@@ -19,6 +19,30 @@ std::vector<std::string> Split(const std::string& s, char sep);
 /// reused across lines without reallocating.
 void SplitViews(std::string_view s, char sep, std::vector<std::string_view>* out);
 
+/// \brief Cursor over the non-empty lines of a text: the shape of the
+/// line-oriented model and statistics formats. Lines are views into the
+/// text, which must outlive the cursor.
+class LineCursor {
+ public:
+  explicit LineCursor(std::string_view text);
+
+  /// Next non-empty line, without its '\n'; false at the end of the text.
+  bool Next(std::string_view* line);
+
+  /// The unread rest of the text.
+  std::string_view rest() const { return rest_; }
+
+  /// OK when `count` more items of at least one line each can still follow;
+  /// otherwise an InvalidArgument naming `what`. A declared count must pass
+  /// this before it drives a reserve(), so a lying header cannot allocate
+  /// beyond the input's own size.
+  Status CheckCount(int64_t count, std::string_view what) const;
+
+ private:
+  std::string_view rest_;
+  size_t lines_left_;  ///< '\n'-separated pieces left in rest_ (an upper bound)
+};
+
 /// Append `v` formatted exactly as printf "%.17g" would (std::to_chars with
 /// chars_format::general and precision 17 is specified as that conversion),
 /// without the printf machinery. 17 significant digits round-trip every

@@ -16,8 +16,10 @@ namespace {
 
 // ---------------------------------------------------------------------------
 // Config section: one "key value" line per PipelineConfig field. The key set
-// is exact for format version 1 — an unknown or missing key is a parse
-// error, so config drift needs a version bump instead of silently loading.
+// is exact per format version — an unknown or missing key is a parse error,
+// so config drift needs a version bump instead of silently loading. Version
+// 1 also carried exec/size/ttl `.batch_inference` booleans for a switch that
+// no longer exists: a v1 section must still hold them, and they are ignored.
 // ---------------------------------------------------------------------------
 
 void AppendKv(std::string* out, const std::string& key, const std::string& value) {
@@ -65,7 +67,6 @@ void AppendMlp(std::string* out, const std::string& p, const ml::MlpParams& m) {
 void AppendPredictor(std::string* out, const std::string& p, const PredictorConfig& c) {
   AppendKv(out, p + ".kind", StrFormat("%d", static_cast<int>(c.kind)));
   AppendKv(out, p + ".min_samples_per_type", StrFormat("%d", c.min_samples_per_type));
-  AppendKv(out, p + ".batch_inference", c.batch_inference ? "1" : "0");
   AppendKv(out, p + ".features.query_optimizer", c.features.query_optimizer ? "1" : "0");
   AppendKv(out, p + ".features.historic", c.features.historic ? "1" : "0");
   AppendKv(out, p + ".features.text", c.features.text ? "1" : "0");
@@ -83,7 +84,6 @@ std::string SerializeConfig(const PipelineConfig& cfg) {
   AppendGbdt(&out, "ttl.gbdt", cfg.ttl.gbdt);
   AppendKv(&out, "ttl.min_samples_per_type",
            StrFormat("%d", cfg.ttl.min_samples_per_type));
-  AppendKv(&out, "ttl.batch_inference", cfg.ttl.batch_inference ? "1" : "0");
   return out;
 }
 
@@ -209,14 +209,22 @@ Status ParseMlp(ConfigMap& m, const std::string& p, ml::MlpParams* out) {
   return Status::OK();
 }
 
-Status ParsePredictor(ConfigMap& m, const std::string& p, PredictorConfig* c) {
+/// The retired v1 `<prefix>.batch_inference` key: present and boolean in a
+/// v1 section (then ignored), absent from v2 (CheckAllUsed rejects it).
+Status SkipRetiredBatchKey(ConfigMap& m, const std::string& p, int version) {
+  if (version == 1) return m.Bool(p + ".batch_inference").status();
+  return Status::OK();
+}
+
+Status ParsePredictor(ConfigMap& m, const std::string& p, int version,
+                      PredictorConfig* c) {
   PHOEBE_ASSIGN_OR_RETURN(int kind, m.Int(p + ".kind"));
   if (kind < 0 || kind > static_cast<int>(ModelKind::kMlpGeneral)) {
     return Status::InvalidArgument("bundle config: bad model kind");
   }
   c->kind = static_cast<ModelKind>(kind);
   PHOEBE_ASSIGN_OR_RETURN(c->min_samples_per_type, m.Int(p + ".min_samples_per_type"));
-  PHOEBE_ASSIGN_OR_RETURN(c->batch_inference, m.Bool(p + ".batch_inference"));
+  PHOEBE_RETURN_NOT_OK(SkipRetiredBatchKey(m, p, version));
   PHOEBE_ASSIGN_OR_RETURN(c->features.query_optimizer,
                           m.Bool(p + ".features.query_optimizer"));
   PHOEBE_ASSIGN_OR_RETURN(c->features.historic, m.Bool(p + ".features.historic"));
@@ -231,16 +239,16 @@ Status ParsePredictor(ConfigMap& m, const std::string& p, PredictorConfig* c) {
   return Status::OK();
 }
 
-Result<PipelineConfig> ParseConfig(const std::string& text) {
+Result<PipelineConfig> ParseConfig(const std::string& text, int version) {
   PHOEBE_ASSIGN_OR_RETURN(ConfigMap m, ConfigMap::Parse(text));
   PipelineConfig cfg;
   PHOEBE_ASSIGN_OR_RETURN(cfg.delta, m.Double("delta"));
-  PHOEBE_RETURN_NOT_OK(ParsePredictor(m, "exec", &cfg.exec_predictor));
-  PHOEBE_RETURN_NOT_OK(ParsePredictor(m, "size", &cfg.size_predictor));
+  PHOEBE_RETURN_NOT_OK(ParsePredictor(m, "exec", version, &cfg.exec_predictor));
+  PHOEBE_RETURN_NOT_OK(ParsePredictor(m, "size", version, &cfg.size_predictor));
   PHOEBE_RETURN_NOT_OK(ParseGbdt(m, "ttl.gbdt", &cfg.ttl.gbdt));
   PHOEBE_ASSIGN_OR_RETURN(cfg.ttl.min_samples_per_type,
                           m.Int("ttl.min_samples_per_type"));
-  PHOEBE_ASSIGN_OR_RETURN(cfg.ttl.batch_inference, m.Bool("ttl.batch_inference"));
+  PHOEBE_RETURN_NOT_OK(SkipRetiredBatchKey(m, "ttl", version));
   PHOEBE_RETURN_NOT_OK(m.CheckAllUsed());
   return cfg;
 }
@@ -395,18 +403,18 @@ Result<std::shared_ptr<const PipelineBundle>> PipelineBundle::FromText(
   Reader r(text);
 
   PHOEBE_ASSIGN_OR_RETURN(std::string magic_line, r.ReadLine());
+  int32_t version = 0;
   {
     std::vector<std::string> pieces = Split(magic_line, ' ');
     if (pieces.size() != 2 || pieces[0] != kMagic) {
       return Status::InvalidArgument("not a phoebe bundle (bad magic)");
     }
-    int32_t version = 0;
     if (!ParseInt32(pieces[1], &version).ok()) {
       return Status::InvalidArgument("bundle: malformed format version");
     }
-    if (version != kFormatVersion) {
+    if (version < 1 || version > kFormatVersion) {
       return Status::InvalidArgument(
-          StrFormat("unsupported bundle format version %d (expected %d)", version,
+          StrFormat("unsupported bundle format version %d (expected 1..%d)", version,
                     kFormatVersion));
     }
   }
@@ -429,7 +437,7 @@ Result<std::shared_ptr<const PipelineBundle>> PipelineBundle::FromText(
   }
 
   PHOEBE_ASSIGN_OR_RETURN(std::string config_text, r.ReadSection("config"));
-  PHOEBE_ASSIGN_OR_RETURN(PipelineConfig config, ParseConfig(config_text));
+  PHOEBE_ASSIGN_OR_RETURN(PipelineConfig config, ParseConfig(config_text, version));
 
   auto exec = std::make_unique<StageCostPredictor>(config.exec_predictor,
                                                    Target::kExecSeconds);
@@ -480,28 +488,6 @@ Result<std::shared_ptr<const PipelineBundle>> PipelineBundle::LoadFromFile(
     metrics->gauge("bundle.file.bytes")->Set(static_cast<double>(text.size()));
   }
   return FromText(text);
-}
-
-Result<std::shared_ptr<const PipelineBundle>> PipelineBundle::WithBatchInference(
-    bool on) const {
-  PipelineConfig cfg = config_;
-  cfg.exec_predictor.batch_inference = on;
-  cfg.size_predictor.batch_inference = on;
-  cfg.ttl.batch_inference = on;
-  if (!trained_) {
-    return std::shared_ptr<const PipelineBundle>(new PipelineBundle(std::move(cfg)));
-  }
-  auto exec = std::make_unique<StageCostPredictor>(cfg.exec_predictor,
-                                                   Target::kExecSeconds);
-  auto size = std::make_unique<StageCostPredictor>(cfg.size_predictor,
-                                                   Target::kOutputBytes);
-  auto ttl = std::make_unique<TtlEstimator>(cfg.ttl);
-  PHOEBE_RETURN_NOT_OK(exec->LoadFromText(exec_->ToText()));
-  PHOEBE_RETURN_NOT_OK(size->LoadFromText(size_->ToText()));
-  PHOEBE_RETURN_NOT_OK(ttl->LoadFromText(ttl_->ToText()));
-  return std::shared_ptr<const PipelineBundle>(
-      new PipelineBundle(std::move(cfg), std::move(exec), std::move(size),
-                         std::move(ttl), stats_));
 }
 
 }  // namespace phoebe::core

@@ -79,7 +79,10 @@ struct PipelineConfig {
 /// without training; it cannot be serialized.
 class PipelineBundle {
  public:
-  static constexpr int kFormatVersion = 1;
+  /// Version written by ToText. FromText also reads version 1, whose config
+  /// section carries three retired `*.batch_inference` keys (checked, then
+  /// ignored).
+  static constexpr int kFormatVersion = 2;
   static constexpr const char* kMagic = "PHOEBEBUNDLE";
 
   /// Untrained bundle: fresh (empty) components under `config`.
@@ -124,12 +127,6 @@ class PipelineBundle {
                     obs::MetricsRegistry* metrics = nullptr) const;
   static Result<std::shared_ptr<const PipelineBundle>> LoadFromFile(
       const std::string& path, obs::MetricsRegistry* metrics = nullptr);
-
-  /// A copy of this bundle with batched inference toggled on every model
-  /// stack — the only config change that does not invalidate trained state
-  /// (both paths are bit-identical; see DESIGN.md "Inference performance").
-  /// Trained state round-trips through the serialized form.
-  Result<std::shared_ptr<const PipelineBundle>> WithBatchInference(bool on) const;
 
  private:
   PipelineConfig config_;

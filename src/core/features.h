@@ -61,7 +61,7 @@ class StageFeaturizer {
                     std::vector<double>* row) const;
 
   /// Feature rows for *all* stages of `job` as one matrix (row i = stage i),
-  /// ready for a single Regressor::PredictBatch call. Row i is exactly
+  /// ready for one Regressor::PredictRowsInto call per serving model. Row i is exactly
   /// Features(job, i, stats).
   ml::FeatureMatrix JobMatrix(const workload::JobInstance& job,
                               const telemetry::HistoricStats& stats) const;

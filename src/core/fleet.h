@@ -171,7 +171,7 @@ class DecisionArm {
   /// \param engine const serving engine (borrowed; must outlive the arm).
   /// The engine's bundle is immutable, so the parallel phase is safe by
   /// construction; just don't re-seat the engine (PhoebePipeline::Train /
-  /// Load / set_batch_inference) while an arm call is in flight.
+  /// LoadBundle) while an arm call is in flight.
   DecisionArm(const DecisionEngine* engine, FleetConfig config);
 
   /// Calibrate the admission threshold from a historical day's decisions.

@@ -20,13 +20,13 @@ namespace phoebe::core {
 
 /// \brief Trained Phoebe instance.
 ///
-/// Thread-safety: the pipeline is logically const after Train (or Load)
-/// returns — trained state lives in an immutable PipelineBundle, and every
+/// Thread-safety: the pipeline is logically const after Train (or
+/// LoadBundle) returns — trained state lives in an immutable PipelineBundle, and every
 /// inference entry point delegates to the const-only DecisionEngine, so
 /// concurrent inference calls on one trained pipeline are safe
-/// (core_fleet_parallel_test pins this under TSan). Train, Load, LoadBundle,
-/// and set_batch_inference swap the bundle and must not overlap any
-/// inference call or outstanding engine() use.
+/// (core_fleet_parallel_test pins this under TSan). Train and LoadBundle
+/// swap the bundle and must not overlap any inference call or outstanding
+/// engine() use.
 class PhoebePipeline {
  public:
   explicit PhoebePipeline(PipelineConfig config = DefaultConfig());
@@ -42,7 +42,7 @@ class PhoebePipeline {
   bool trained() const { return engine_.trained(); }
 
   /// The const-only serving view over the current bundle. The reference
-  /// stays valid across Train/Load (the engine object is re-seated in
+  /// stays valid across Train/LoadBundle (the engine object is re-seated in
   /// place), but must not be *used* while one of the mutators runs.
   const DecisionEngine& engine() const { return engine_; }
 
@@ -50,13 +50,6 @@ class PhoebePipeline {
   std::shared_ptr<const PipelineBundle> bundle() const {
     return engine_.shared_bundle();
   }
-
-  /// Toggle batched inference on all three model stacks at once (predictors
-  /// and TTL stacking). Both paths are bit-identical; this exists so a single
-  /// trained pipeline can be benchmarked batch-on vs. batch-off without
-  /// retraining. Mutator: swaps the bundle (trained state round-trips
-  /// through the serialized form), so it must not overlap inference.
-  void set_batch_inference(bool on);
 
   const telemetry::HistoricStats& inference_stats() const {
     return engine_.inference_stats();
@@ -90,17 +83,10 @@ class PhoebePipeline {
     return engine_.Decide(job, objective, source);
   }
 
-  /// Persist the trained models plus the inference-time statistics snapshot
-  /// to `dir` (created if missing): exec.model, size.model, ttl.model,
-  /// stats.txt. Load restores them into a pipeline constructed with the same
-  /// configuration (model kind / feature groups must match). Prefer the
-  /// single-file bundle (SaveBundle/LoadBundle) for new code — it carries
-  /// the config and is integrity-checked.
-  Status Save(const std::string& dir) const;
-  Status Load(const std::string& dir);
-
-  /// Persist / restore the single-file versioned bundle (see core/bundle.h).
-  /// LoadBundle replaces this pipeline's config with the bundle's.
+  /// Persist / restore the single-file versioned bundle (see core/bundle.h):
+  /// the trained models, the inference-time statistics snapshot and the
+  /// config, checksummed and written atomically. LoadBundle replaces this
+  /// pipeline's config with the bundle's.
   Status SaveBundle(const std::string& path) const;
   Status LoadBundle(const std::string& path);
 

@@ -117,82 +117,26 @@ void StageCostPredictor::PredictJobInto(const workload::JobInstance& job,
                                         PredictScratch* scratch,
                                         std::vector<double>* out) const {
   PHOEBE_CHECK_MSG(trained_, "PredictJob called before Train");
-  const size_t ns = job.graph.num_stages();
-  if (!config_.batch_inference) {
-    // Scalar reference path: one featurize + Predict per stage, exactly what
-    // PredictStage computes.
-    out->resize(ns);
-    for (size_t si = 0; si < ns; ++si) {
-      featurizer_.FeaturesInto(job, static_cast<int>(si), stats, &scratch->row);
-      int type = job.graph.stage(static_cast<int>(si)).stage_type;
-      auto it = per_type_.find(type);
-      double y_log;
-      double calibration;
-      if (it != per_type_.end()) {
-        y_log = it->second.Predict(scratch->row);
-        calibration = calibration_.at(type);
-      } else {
-        y_log = general_->Predict(scratch->row);
-        calibration = general_calibration_;
-      }
-      (*out)[si] = std::max(0.0, StageFeaturizer::ExpandTarget(y_log)) * calibration;
-    }
-    return;
-  }
-
   featurizer_.JobMatrixInto(job, stats, &scratch->row, &scratch->matrix);
-  out->assign(ns, 0.0);
-
-  // Partition stages by serving model so each model sees one batch. The
-  // per-type models are visited in ascending stage_type (map order), then the
-  // general fallback — the same grouping and scatter order the per-job map
-  // partition produced, but with one reused index buffer instead of a
-  // std::map of vectors per call.
-  scratch->served.assign(ns, 0);
-  auto score = [&](const ml::Regressor& model, double cal) {
-    model.PredictRowsInto(scratch->matrix, scratch->rows, &scratch->y_log);
-    for (size_t k = 0; k < scratch->rows.size(); ++k) {
-      (*out)[scratch->rows[k]] =
-          std::max(0.0, StageFeaturizer::ExpandTarget(scratch->y_log[k])) * cal;
-    }
-  };
-  for (const auto& [type, model] : per_type_) {
-    scratch->rows.clear();
-    for (size_t si = 0; si < ns; ++si) {
-      if (job.graph.stage(static_cast<int>(si)).stage_type == type) {
-        scratch->rows.push_back(si);
-        scratch->served[si] = 1;
-      }
-    }
-    if (scratch->rows.empty()) continue;
-    score(model, calibration_.at(type));
-  }
-  scratch->rows.clear();
-  for (size_t si = 0; si < ns; ++si) {
-    if (!scratch->served[si]) scratch->rows.push_back(si);
-  }
-  if (!scratch->rows.empty()) score(*general_, general_calibration_);
+  ScoreByStageType(
+      job.graph, scratch->matrix, per_type_, *general_,
+      [this](std::optional<int> type) {
+        return type ? calibration_.at(*type) : general_calibration_;
+      },
+      scratch, out);
 }
 
-namespace {
-
-/// Collect lines [*i, ...) until a line equal to "end_model"; returns the
-/// joined block and advances *i past the terminator.
-Result<std::string> TakeModelBlock(const std::vector<std::string>& lines, size_t* i) {
-  std::string block;
-  while (*i < lines.size()) {
-    if (lines[*i] == "end_model") {
-      ++*i;
-      return block;
+Status TakeModelBlock(LineCursor* lines, std::string_view* block) {
+  const char* begin = lines->rest().data();
+  std::string_view line;
+  while (lines->Next(&line)) {
+    if (line == "end_model") {
+      *block = std::string_view(begin, static_cast<size_t>(line.data() - begin));
+      return Status::OK();
     }
-    block += lines[*i];
-    block += '\n';
-    ++*i;
   }
   return Status::InvalidArgument("unterminated model block");
 }
-
-}  // namespace
 
 std::string StageCostPredictor::ToText() const {
   PHOEBE_CHECK_MSG(trained_, "ToText called before Train");
@@ -216,59 +160,78 @@ std::string StageCostPredictor::ToText() const {
 }
 
 Status StageCostPredictor::LoadFromText(const std::string& text) {
-  std::vector<std::string> lines = Split(text, '\n');
-  size_t i = 0;
-  while (i < lines.size() && lines[i].empty()) ++i;
-  if (i >= lines.size()) return Status::InvalidArgument("empty predictor text");
-  std::vector<std::string> hdr = Split(lines[i++], ' ');
-  if (hdr.size() != 6 || hdr[0] != "stage_cost_predictor") {
+  LineCursor lines(text);
+  std::string_view line;
+  std::vector<std::string_view> tok;
+  if (!lines.Next(&line)) return Status::InvalidArgument("empty predictor text");
+  SplitViews(line, ' ', &tok);
+  int32_t target = 0, kind = 0;
+  int64_t width = 0, n_types = 0;
+  double general_cal = 0.0;
+  if (tok.size() != 6 || tok[0] != "stage_cost_predictor" ||
+      !ParseInt32(tok[1], &target).ok() || !ParseInt32(tok[2], &kind).ok() ||
+      !ParseInt64(tok[3], &width).ok() || !ParseInt64(tok[4], &n_types).ok() ||
+      !ParseFiniteDouble(tok[5], &general_cal).ok()) {
     return Status::InvalidArgument("bad predictor header");
   }
-  if (std::atoi(hdr[1].c_str()) != static_cast<int>(target_)) {
+  if (target != static_cast<int>(target_)) {
     return Status::FailedPrecondition("serialized target does not match");
   }
-  if (std::atoi(hdr[2].c_str()) != static_cast<int>(config_.kind)) {
+  if (kind != static_cast<int>(config_.kind)) {
     return Status::FailedPrecondition("serialized model kind does not match");
   }
-  if (static_cast<size_t>(std::atoll(hdr[3].c_str())) !=
-      featurizer_.FeatureNames().size()) {
+  const size_t nf = featurizer_.FeatureNames().size();
+  if (width != static_cast<int64_t>(nf)) {
     return Status::FailedPrecondition("serialized feature width does not match");
   }
-  size_t n_types = static_cast<size_t>(std::atoll(hdr[4].c_str()));
-  double general_cal = std::atof(hdr[5].c_str());
+  PHOEBE_RETURN_NOT_OK(lines.CheckCount(n_types, "type models"));
 
-  while (i < lines.size() && lines[i].empty()) ++i;
-  if (i >= lines.size() || lines[i] != "general_model") {
+  if (!lines.Next(&line) || line != "general_model") {
     return Status::InvalidArgument("missing general_model block");
   }
-  ++i;
-  PHOEBE_ASSIGN_OR_RETURN(std::string general_block, TakeModelBlock(lines, &i));
+  std::string_view block;
+  PHOEBE_RETURN_NOT_OK(TakeModelBlock(&lines, &block));
+  std::unique_ptr<ml::Regressor> general;
   if (config_.kind == ModelKind::kMlpGeneral) {
-    PHOEBE_ASSIGN_OR_RETURN(ml::MlpRegressor m, ml::MlpRegressor::FromText(general_block));
-    general_ = std::make_unique<ml::MlpRegressor>(std::move(m));
+    auto m = std::make_unique<ml::MlpRegressor>();
+    PHOEBE_RETURN_NOT_OK(ml::MlpRegressor::FromText(block, m.get()));
+    general = std::move(m);
   } else {
-    PHOEBE_ASSIGN_OR_RETURN(ml::GbdtRegressor m,
-                            ml::GbdtRegressor::FromText(general_block));
-    general_ = std::make_unique<ml::GbdtRegressor>(std::move(m));
+    auto m = std::make_unique<ml::GbdtRegressor>();
+    PHOEBE_RETURN_NOT_OK(ml::GbdtRegressor::FromText(block, m.get()));
+    general = std::move(m);
   }
-  general_calibration_ = general_cal;
+  if (general->num_features() != nf) {
+    return Status::InvalidArgument("general model feature width does not match");
+  }
 
-  per_type_.clear();
-  calibration_.clear();
-  for (size_t k = 0; k < n_types; ++k) {
-    while (i < lines.size() && lines[i].empty()) ++i;
-    if (i >= lines.size()) return Status::InvalidArgument("truncated type models");
-    std::vector<std::string> th = Split(lines[i++], ' ');
-    if (th.size() != 3 || th[0] != "type") {
+  std::map<int, ml::GbdtRegressor> per_type;
+  std::map<int, double> calibration;
+  for (int64_t k = 0; k < n_types; ++k) {
+    if (!lines.Next(&line)) return Status::InvalidArgument("truncated type models");
+    SplitViews(line, ' ', &tok);
+    int32_t type = 0;
+    double cal = 0.0;
+    if (tok.size() != 3 || tok[0] != "type" || !ParseInt32(tok[1], &type).ok() ||
+        !ParseFiniteDouble(tok[2], &cal).ok()) {
       return Status::InvalidArgument("bad type model header");
     }
-    int type = std::atoi(th[1].c_str());
-    double cal = std::atof(th[2].c_str());
-    PHOEBE_ASSIGN_OR_RETURN(std::string block, TakeModelBlock(lines, &i));
-    PHOEBE_ASSIGN_OR_RETURN(ml::GbdtRegressor m, ml::GbdtRegressor::FromText(block));
-    per_type_.emplace(type, std::move(m));
-    calibration_[type] = cal;
+    PHOEBE_RETURN_NOT_OK(TakeModelBlock(&lines, &block));
+    ml::GbdtRegressor m;
+    PHOEBE_RETURN_NOT_OK(ml::GbdtRegressor::FromText(block, &m));
+    if (m.num_features() != nf) {
+      return Status::InvalidArgument("type model feature width does not match");
+    }
+    if (!per_type.emplace(type, std::move(m)).second) {
+      return Status::InvalidArgument("duplicate type model");
+    }
+    calibration[type] = cal;
   }
+  if (lines.Next(&line)) return Status::InvalidArgument("trailing data after predictor");
+  general_ = std::move(general);
+  general_calibration_ = general_cal;
+  per_type_ = std::move(per_type);
+  calibration_ = std::move(calibration);
   trained_ = true;
   return Status::OK();
 }

@@ -7,10 +7,15 @@
 // §6.1 ablations. Targets are modeled in log1p space and expanded back.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <map>
 #include <memory>
+#include <optional>
+#include <string_view>
 #include <vector>
 
+#include "common/strings.h"
 #include "core/features.h"
 #include "ml/gbdt.h"
 #include "ml/mlp.h"
@@ -32,10 +37,6 @@ struct PredictorConfig {
   ml::MlpParams mlp;
   /// Stage types with fewer training rows than this use the general model.
   int min_samples_per_type = 100;
-  /// Score whole jobs with one PredictBatch call per serving model instead of
-  /// a scalar Predict per stage. Bit-equal to the scalar path (the batch
-  /// overrides pin that contract), so this is purely a throughput knob.
-  bool batch_inference = true;
 };
 
 /// \brief One training example: a job paired with the historic statistics
@@ -57,6 +58,54 @@ struct PredictScratch {
   std::vector<double> y_log;   ///< model outputs for those rows (log space)
   std::vector<char> served;    ///< per-stage flag: scored by a per-type model
 };
+
+/// The stage routing both learned cost stacks share (paper §4.1–4.2): stage
+/// s of `graph` is scored by `per_type`'s model for its stage type, or by
+/// `general` when that type has none, and expanded out of log space:
+///
+///   (*out)[s] = max(0, expm1(y_log)) * scale(group)
+///
+/// Row s of `x` holds stage s's features. Stages are grouped by serving
+/// model so each model scores its group in one PredictRowsInto call;
+/// groups run in ascending stage type, then the general model's.
+/// `scale(type)` is called once per non-empty group with the group's stage
+/// type, or with std::nullopt for the general model's group. Allocation-free
+/// once `scratch` and `out` are warm. `out` must not alias scratch fields.
+template <typename GroupScale>
+void ScoreByStageType(const dag::JobGraph& graph, const ml::FeatureMatrix& x,
+                      const std::map<int, ml::GbdtRegressor>& per_type,
+                      const ml::Regressor& general, GroupScale&& scale,
+                      PredictScratch* scratch, std::vector<double>* out) {
+  const size_t ns = graph.num_stages();
+  out->assign(ns, 0.0);
+  scratch->served.assign(ns, 0);
+  auto score = [&](const ml::Regressor& model, double s) {
+    model.PredictRowsInto(x, scratch->rows, &scratch->y_log);
+    for (size_t k = 0; k < scratch->rows.size(); ++k) {
+      (*out)[scratch->rows[k]] = std::max(0.0, std::expm1(scratch->y_log[k])) * s;
+    }
+  };
+  for (const auto& [type, model] : per_type) {
+    scratch->rows.clear();
+    for (size_t si = 0; si < ns; ++si) {
+      if (graph.stage(static_cast<dag::StageId>(si)).stage_type == type) {
+        scratch->rows.push_back(si);
+        scratch->served[si] = 1;
+      }
+    }
+    if (!scratch->rows.empty()) score(model, scale(std::optional<int>(type)));
+  }
+  scratch->rows.clear();
+  for (size_t si = 0; si < ns; ++si) {
+    if (!scratch->served[si]) scratch->rows.push_back(si);
+  }
+  if (!scratch->rows.empty()) score(general, scale(std::optional<int>()));
+}
+
+/// The model block at the cursor: every line up to the next "end_model"
+/// line, as one view into the cursor's text; the terminator is consumed.
+/// The block reader of both StageCostPredictor and TtlEstimator text.
+Status TakeModelBlock(LineCursor* lines, std::string_view* block);
 
 /// \brief Predicts one target (exec time or output size) per stage.
 class StageCostPredictor {
@@ -81,28 +130,19 @@ class StageCostPredictor {
   double PredictStage(const workload::JobInstance& job, int stage_id,
                       const telemetry::HistoricStats& stats) const;
 
-  /// Predict all stages of a job. With config().batch_inference on, stages
-  /// are grouped by serving model and scored with one PredictBatch call per
-  /// group; otherwise falls back to a scalar PredictStage loop. Both paths
-  /// return bit-identical values.
+  /// Predict all stages of a job; element s is bit-identical to
+  /// PredictStage(job, s, stats).
   std::vector<double> PredictJob(const workload::JobInstance& job,
                                  const telemetry::HistoricStats& stats) const;
 
   /// PredictJob into caller-owned buffers: featurizes the whole job into
-  /// `scratch->matrix`, scores each serving model's stages via
-  /// Regressor::PredictRowsInto, and writes the per-stage predictions to
-  /// `*out` (resized to the stage count). Values are bit-identical to
-  /// PredictJob on both the batched and the scalar path; with warm buffers
-  /// the call performs no heap allocation (the scalar reference path and
-  /// FeatureConfig::text excepted). `out` must not alias scratch fields.
+  /// `scratch->matrix`, scores it through ScoreByStageType, and writes the
+  /// per-stage predictions to `*out` (resized to the stage count). With warm
+  /// buffers the call performs no heap allocation (FeatureConfig::text
+  /// excepted). `out` must not alias scratch fields.
   void PredictJobInto(const workload::JobInstance& job,
                       const telemetry::HistoricStats& stats, PredictScratch* scratch,
                       std::vector<double>* out) const;
-
-  /// Toggle batched scoring after construction (e.g. for benchmarking both
-  /// paths on one trained predictor). Not safe to call concurrently with
-  /// inference.
-  void set_batch_inference(bool on) { config_.batch_inference = on; }
 
   /// Number of per-stage-type models actually trained (0 for general kinds).
   size_t num_type_models() const { return per_type_.size(); }
@@ -112,7 +152,8 @@ class StageCostPredictor {
 
   /// Serialize the trained models (general + per-type + calibrations) to a
   /// text blob. LoadFromText restores them into a predictor constructed with
-  /// a matching configuration.
+  /// a matching configuration; every model must score this predictor's
+  /// feature width. On error the predictor is left as it was.
   std::string ToText() const;
   Status LoadFromText(const std::string& text);
 

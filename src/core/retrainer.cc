@@ -1,9 +1,6 @@
 #include "core/retrainer.h"
 
-#include <algorithm>
-
 #include "common/stats.h"
-#include "common/strings.h"
 
 namespace phoebe::core {
 
@@ -33,64 +30,6 @@ Status RetrainPolicy::Validate() const {
     return Status::InvalidArgument("min_history_days must be >= 1");
   }
   return Status::OK();
-}
-
-RetrainingDriver::RetrainingDriver(RetrainPolicy policy, PipelineConfig config)
-    : policy_(policy), config_(std::move(config)) {
-  policy_.Validate().Check();
-  pipeline_ = std::make_unique<PhoebePipeline>(config_);
-}
-
-Status RetrainingDriver::Retrain(const telemetry::WorkloadRepository& repo, int day) {
-  // Train on the most recent window ending at `day` (inclusive).
-  int first = std::max(0, day - policy_.train_window_days + 1);
-  auto fresh = std::make_unique<PhoebePipeline>(config_);
-  PHOEBE_RETURN_NOT_OK(fresh->Train(repo, first, day - first + 1));
-  pipeline_ = std::move(fresh);
-  trained_on_day_ = day;
-  return Status::OK();
-}
-
-Result<RetrainReport> RetrainingDriver::OnDayCompleted(
-    const telemetry::WorkloadRepository& repo, int day) {
-  if (day <= last_day_) {
-    return Status::InvalidArgument(
-        StrFormat("days must arrive in increasing order (%d after %d)", day, last_day_));
-  }
-  if (!repo.HasDay(day)) {
-    return Status::NotFound(StrFormat("day %d not in repository", day));
-  }
-  last_day_ = day;
-
-  RetrainReport report;
-  report.day = day;
-  report.model_age_days = trained_on_day_ < 0 ? -1 : day - trained_on_day_;
-
-  if (!pipeline_->trained()) {
-    // Bootstrap once enough completed days exist (including this one).
-    if (day + 1 >= policy_.min_history_days) {
-      PHOEBE_RETURN_NOT_OK(Retrain(repo, day));
-      report.retrained = true;
-      report.reason = "bootstrap";
-    }
-    history_.push_back(report);
-    return report;
-  }
-
-  // Evaluate the deployed model on the freshly completed day.
-  report.exec_r2 = EvaluateExecR2(pipeline_->exec_predictor(), repo, day);
-
-  if (report.exec_r2 < policy_.min_exec_r2) {
-    PHOEBE_RETURN_NOT_OK(Retrain(repo, day));
-    report.retrained = true;
-    report.reason = "accuracy";
-  } else if (report.model_age_days >= policy_.max_age_days) {
-    PHOEBE_RETURN_NOT_OK(Retrain(repo, day));
-    report.retrained = true;
-    report.reason = "age";
-  }
-  history_.push_back(report);
-  return report;
 }
 
 }  // namespace phoebe::core

@@ -1,14 +1,12 @@
-// Retraining driver: keeps the pipeline fresh as the workload drifts.
+// Retraining policy: keeps the pipeline fresh as the workload drifts.
 //
 // Figure 8 of the paper shows model accuracy decaying on days further from
 // the training window, and §3/§6.1 describe periodic retraining from the
-// workload repository. This driver encodes that operational loop: after each
-// day completes, it measures the deployed model's accuracy on that day and
-// retrains when accuracy degrades or the model exceeds its maximum age.
+// workload repository. RetrainPolicy encodes when to retrain — bootstrap once
+// enough history exists, then on accuracy decay or model age — and
+// EvaluateExecR2 is the accuracy signal. lifecycle::LifecycleDriver runs the
+// loop that applies them.
 #pragma once
-
-#include <memory>
-#include <vector>
 
 #include "core/pipeline.h"
 
@@ -26,48 +24,8 @@ struct RetrainPolicy {
 
 /// Held-out R^2 of `exec` on `day`'s stage runtimes, featurized against the
 /// historic stats available strictly before `day` — the accuracy-decay
-/// signal of Figure 8. Shared by RetrainingDriver and the lifecycle loop so
-/// both trigger retraining off the same measurement.
+/// signal of Figure 8 that the lifecycle loop triggers retraining off.
 double EvaluateExecR2(const StageCostPredictor& exec,
                       const telemetry::WorkloadRepository& repo, int day);
-
-/// \brief Per-day outcome of the driver.
-struct RetrainReport {
-  int day = 0;
-  double exec_r2 = 0.0;        ///< deployed model's accuracy on this day
-  int model_age_days = 0;      ///< age at evaluation time (-1: no model yet)
-  bool retrained = false;
-  const char* reason = "";     ///< "", "bootstrap", "accuracy", "age"
-};
-
-/// \brief Drives periodic retraining against a workload repository.
-class RetrainingDriver {
- public:
-  explicit RetrainingDriver(RetrainPolicy policy = {},
-                            PipelineConfig config = PhoebePipeline::DefaultConfig());
-
-  /// Process the freshly completed `day` (which must be stored in `repo`,
-  /// along with all prior history being used): evaluate the deployed model
-  /// on it, then retrain if the policy says so. Days must arrive in
-  /// increasing order.
-  Result<RetrainReport> OnDayCompleted(const telemetry::WorkloadRepository& repo,
-                                       int day);
-
-  /// The currently deployed pipeline (untrained until enough history).
-  const PhoebePipeline& pipeline() const { return *pipeline_; }
-  bool deployed() const { return pipeline_->trained(); }
-  int trained_on_day() const { return trained_on_day_; }
-  const std::vector<RetrainReport>& history() const { return history_; }
-
- private:
-  Status Retrain(const telemetry::WorkloadRepository& repo, int day);
-
-  RetrainPolicy policy_;
-  PipelineConfig config_;
-  std::unique_ptr<PhoebePipeline> pipeline_;
-  int trained_on_day_ = -1;  ///< last day included in training; -1 = never
-  int last_day_ = -1;
-  std::vector<RetrainReport> history_;
-};
 
 }  // namespace phoebe::core

@@ -94,28 +94,12 @@ void TtlEstimator::PredictInto(const workload::JobInstance& job,
                                const SimulatedSchedule& sim, PredictScratch* scratch,
                                std::vector<double>* out) const {
   const size_t ns = job.graph.num_stages();
-  if (!trained_ || !config_.batch_inference) {
+  if (!trained_) {
     out->resize(ns);
-    for (size_t si = 0; si < ns; ++si) {
-      dag::StageId s = static_cast<dag::StageId>(si);
-      if (!trained_) {
-        (*out)[si] = sim.Ttl(s);
-        continue;
-      }
-      StackingFeaturesInto(sim, s, &scratch->row);
-      int type = job.graph.stage(s).stage_type;
-      auto it = per_type_.find(type);
-      double y_log = (it != per_type_.end()) ? it->second.Predict(scratch->row)
-                                             : general_->Predict(scratch->row);
-      (*out)[si] = std::max(0.0, std::expm1(y_log));
-    }
+    for (size_t si = 0; si < ns; ++si) (*out)[si] = sim.Ttl(static_cast<dag::StageId>(si));
     return;
   }
-
-  // Batched path: one stacking-feature matrix, one PredictRowsInto per
-  // serving model — same grouping and scatter order as the per-job map
-  // partition, on reused buffers.
-  if (scratch->matrix.num_features() != 4) {  // StackingFeatureNames().size()
+  if (scratch->matrix.num_features() != kNumStackingFeatures) {
     scratch->matrix = ml::FeatureMatrix(StackingFeatureNames());
   }
   scratch->matrix.ClearRows();
@@ -123,30 +107,9 @@ void TtlEstimator::PredictInto(const workload::JobInstance& job,
     StackingFeaturesInto(sim, static_cast<dag::StageId>(si), &scratch->row);
     scratch->matrix.AddRow(scratch->row);
   }
-  out->assign(ns, 0.0);
-  scratch->served.assign(ns, 0);
-  auto score = [&](const ml::GbdtRegressor& model) {
-    model.PredictRowsInto(scratch->matrix, scratch->rows, &scratch->y_log);
-    for (size_t k = 0; k < scratch->rows.size(); ++k) {
-      (*out)[scratch->rows[k]] = std::max(0.0, std::expm1(scratch->y_log[k]));
-    }
-  };
-  for (const auto& [type, model] : per_type_) {
-    scratch->rows.clear();
-    for (size_t si = 0; si < ns; ++si) {
-      if (job.graph.stage(static_cast<dag::StageId>(si)).stage_type == type) {
-        scratch->rows.push_back(si);
-        scratch->served[si] = 1;
-      }
-    }
-    if (scratch->rows.empty()) continue;
-    score(model);
-  }
-  scratch->rows.clear();
-  for (size_t si = 0; si < ns; ++si) {
-    if (!scratch->served[si]) scratch->rows.push_back(si);
-  }
-  if (!scratch->rows.empty()) score(*general_);
+  ScoreByStageType(
+      job.graph, scratch->matrix, per_type_, *general_,
+      [](std::optional<int>) { return 1.0; }, scratch, out);
 }
 
 std::string TtlEstimator::ToText() const {
@@ -164,53 +127,50 @@ std::string TtlEstimator::ToText() const {
 }
 
 Status TtlEstimator::LoadFromText(const std::string& text) {
-  std::vector<std::string> lines = Split(text, '\n');
-  size_t i = 0;
-  auto take_block = [&]() -> Result<std::string> {
-    std::string block;
-    while (i < lines.size()) {
-      if (lines[i] == "end_model") {
-        ++i;
-        return block;
-      }
-      block += lines[i];
-      block += '\n';
-      ++i;
-    }
-    return Status::InvalidArgument("unterminated model block");
-  };
-
-  while (i < lines.size() && lines[i].empty()) ++i;
-  if (i >= lines.size()) return Status::InvalidArgument("empty ttl estimator text");
-  std::vector<std::string> hdr = Split(lines[i++], ' ');
-  if (hdr.size() != 2 || hdr[0] != "ttl_estimator") {
+  LineCursor lines(text);
+  std::string_view line;
+  std::vector<std::string_view> tok;
+  if (!lines.Next(&line)) return Status::InvalidArgument("empty ttl estimator text");
+  SplitViews(line, ' ', &tok);
+  int64_t n_types = 0;
+  if (tok.size() != 2 || tok[0] != "ttl_estimator" || !ParseInt64(tok[1], &n_types).ok()) {
     return Status::InvalidArgument("bad ttl_estimator header");
   }
-  size_t n_types = static_cast<size_t>(std::atoll(hdr[1].c_str()));
+  PHOEBE_RETURN_NOT_OK(lines.CheckCount(n_types, "type models"));
 
-  while (i < lines.size() && lines[i].empty()) ++i;
-  if (i >= lines.size() || lines[i] != "general_model") {
+  // Every stacking model scores the kNumStackingFeatures-wide rows.
+  auto read_model = [&](ml::GbdtRegressor* m) {
+    std::string_view block;
+    PHOEBE_RETURN_NOT_OK(TakeModelBlock(&lines, &block));
+    PHOEBE_RETURN_NOT_OK(ml::GbdtRegressor::FromText(block, m));
+    if (m->num_features() != kNumStackingFeatures) {
+      return Status::InvalidArgument("stacking model feature width does not match");
+    }
+    return Status::OK();
+  };
+  if (!lines.Next(&line) || line != "general_model") {
     return Status::InvalidArgument("missing general_model block");
   }
-  ++i;
-  PHOEBE_ASSIGN_OR_RETURN(std::string general_block, take_block());
-  PHOEBE_ASSIGN_OR_RETURN(ml::GbdtRegressor g,
-                          ml::GbdtRegressor::FromText(general_block));
-  general_ = std::make_unique<ml::GbdtRegressor>(std::move(g));
+  auto general = std::make_unique<ml::GbdtRegressor>();
+  PHOEBE_RETURN_NOT_OK(read_model(general.get()));
 
-  per_type_.clear();
-  for (size_t k = 0; k < n_types; ++k) {
-    while (i < lines.size() && lines[i].empty()) ++i;
-    if (i >= lines.size()) return Status::InvalidArgument("truncated type models");
-    std::vector<std::string> th = Split(lines[i++], ' ');
-    if (th.size() != 2 || th[0] != "type") {
+  std::map<int, ml::GbdtRegressor> per_type;
+  for (int64_t k = 0; k < n_types; ++k) {
+    if (!lines.Next(&line)) return Status::InvalidArgument("truncated type models");
+    SplitViews(line, ' ', &tok);
+    int32_t type = 0;
+    if (tok.size() != 2 || tok[0] != "type" || !ParseInt32(tok[1], &type).ok()) {
       return Status::InvalidArgument("bad type model header");
     }
-    int type = std::atoi(th[1].c_str());
-    PHOEBE_ASSIGN_OR_RETURN(std::string block, take_block());
-    PHOEBE_ASSIGN_OR_RETURN(ml::GbdtRegressor m, ml::GbdtRegressor::FromText(block));
-    per_type_.emplace(type, std::move(m));
+    ml::GbdtRegressor m;
+    PHOEBE_RETURN_NOT_OK(read_model(&m));
+    if (!per_type.emplace(type, std::move(m)).second) {
+      return Status::InvalidArgument("duplicate type model");
+    }
   }
+  if (lines.Next(&line)) return Status::InvalidArgument("trailing data after ttl estimator");
+  general_ = std::move(general);
+  per_type_ = std::move(per_type);
   trained_ = true;
   return Status::OK();
 }

@@ -27,9 +27,6 @@ struct TtlConfig {
     return p;
   }();
   int min_samples_per_type = 100;
-  /// Score all stages of a job with one PredictBatch call per stacking model
-  /// (bit-equal to the scalar loop; throughput knob only).
-  bool batch_inference = true;
 };
 
 /// \brief Stacked TTL estimator.
@@ -52,10 +49,10 @@ class TtlEstimator {
   bool trained() const { return trained_; }
   size_t num_type_models() const { return per_type_.size(); }
 
-  /// Stacked TTL predictions for every stage given the simulated schedule.
-  /// Falls back to the raw simulator TTL if no model covers a stage type.
-  /// With config batch_inference on, stages are grouped by stacking model and
-  /// scored in one PredictBatch per group (bit-identical results).
+  /// Stacked TTL predictions for every stage given the simulated schedule:
+  /// the stacking rows go through ScoreByStageType (per-type model, else the
+  /// general one; scale 1). Untrained, every stage gets the raw simulator
+  /// TTL.
   std::vector<double> Predict(const workload::JobInstance& job,
                               const SimulatedSchedule& sim) const;
 
@@ -65,10 +62,8 @@ class TtlEstimator {
   void PredictInto(const workload::JobInstance& job, const SimulatedSchedule& sim,
                    PredictScratch* scratch, std::vector<double>* out) const;
 
-  /// Toggle batched scoring after construction. Not safe to call
-  /// concurrently with inference.
-  void set_batch_inference(bool on) { config_.batch_inference = on; }
-
+  /// Width of a stacking feature row (StackingFeatureNames().size()).
+  static constexpr size_t kNumStackingFeatures = 4;
   /// Stacking feature row: the stage's "position" within the job.
   static std::vector<double> StackingFeatures(const SimulatedSchedule& sim,
                                               dag::StageId stage);
@@ -77,7 +72,9 @@ class TtlEstimator {
                                    std::vector<double>* row);
   static std::vector<std::string> StackingFeatureNames();
 
-  /// Serialize the trained stacking models; LoadFromText restores them.
+  /// Serialize the trained stacking models; LoadFromText restores them
+  /// (every model must score kNumStackingFeatures-wide rows). On error the
+  /// estimator is left as it was.
   std::string ToText() const;
   Status LoadFromText(const std::string& text);
 

@@ -10,7 +10,7 @@
 //     ├─ the incumbent bundle serves the day's decisions (FleetDriver,
 //     │  threads + template cache, budget-free admission)
 //     ├─ the incumbent's exec R^2 on the day is measured (EvaluateExecR2 —
-//     │  the same Figure 8 signal RetrainingDriver uses)
+//     │  the Figure 8 accuracy-decay signal)
 //     ├─ RetrainPolicy decides: bootstrap | accuracy decay | age → train a
 //     │  *candidate* PipelineBundle on the trailing train window
 //     ├─ canary backtest: incumbent and candidate decide the trailing
@@ -56,7 +56,7 @@ namespace phoebe::lifecycle {
 /// \brief Knobs for the continuous-operation loop.
 struct LifecycleConfig {
   /// When to retrain (accuracy decay / age / bootstrap) and how much history
-  /// each training run sees — shared with RetrainingDriver.
+  /// each training run sees.
   core::RetrainPolicy policy;
   /// Trailing days (ending at the retrain day) both bundles are backtested
   /// on for the canary comparison.

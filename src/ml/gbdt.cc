@@ -399,38 +399,6 @@ void GbdtRegressor::RebuildFlatForest() {
   }
 }
 
-std::vector<double> GbdtRegressor::PredictBatch(const FeatureMatrix& x) const {
-  PHOEBE_CHECK_MSG(fitted_, "PredictBatch called before Fit");
-  const size_t nr = x.num_rows();
-  std::vector<double> out(nr, base_score_);
-  if (nr == 0) return out;
-  PHOEBE_CHECK(x.num_features() == num_features_);
-
-  const int32_t* feat = flat_.feature.data();
-  const double* thresh = flat_.threshold.data();
-  const int32_t* left = flat_.left.data();
-  const int32_t* right = flat_.right.data();
-  const double* value = flat_.value.data();
-
-  constexpr size_t kRowBlock = 64;
-  const double* rows[kRowBlock];
-  for (size_t b0 = 0; b0 < nr; b0 += kRowBlock) {
-    const size_t bn = std::min(kRowBlock, nr - b0);
-    for (size_t k = 0; k < bn; ++k) rows[k] = x.Row(b0 + k).data();
-    for (int32_t r0 : flat_.root) {
-      for (size_t k = 0; k < bn; ++k) {
-        int32_t idx = r0;
-        int32_t f;
-        while ((f = feat[idx]) >= 0) {
-          idx = rows[k][f] <= thresh[idx] ? left[idx] : right[idx];
-        }
-        out[b0 + k] += value[idx];
-      }
-    }
-  }
-  return out;
-}
-
 void GbdtRegressor::PredictRowsInto(const FeatureMatrix& x, std::span<const size_t> rows,
                                     std::vector<double>* out) const {
   PHOEBE_CHECK_MSG(fitted_, "PredictRowsInto called before Fit");
@@ -497,50 +465,57 @@ std::string GbdtRegressor::ToText() const {
 Status GbdtRegressor::FromText(std::string_view text, GbdtRegressor* out) {
   PHOEBE_CHECK(out != nullptr);
   GbdtRegressor model;
-  std::vector<std::string> lines = Split(std::string(text), '\n');
-  size_t i = 0;
-  auto next = [&]() -> const std::string* {
-    while (i < lines.size() && lines[i].empty()) ++i;
-    return i < lines.size() ? &lines[i++] : nullptr;
-  };
+  LineCursor lines(text);
+  std::string_view line;
+  std::vector<std::string_view> tok;
 
-  const std::string* line = next();
-  if (!line) return Status::InvalidArgument("empty model text");
-  {
-    std::vector<std::string> tok = Split(*line, ' ');
-    if (tok.size() != 4 || tok[0] != "gbdt")
-      return Status::InvalidArgument("bad gbdt header");
-    model.num_features_ = static_cast<size_t>(std::atoll(tok[1].c_str()));
-    size_t n_trees = static_cast<size_t>(std::atoll(tok[2].c_str()));
-    model.base_score_ = std::atof(tok[3].c_str());
-    model.trees_.reserve(n_trees);
-    for (size_t t = 0; t < n_trees; ++t) {
-      line = next();
-      if (!line) return Status::InvalidArgument("truncated model: missing tree");
-      std::vector<std::string> th = Split(*line, ' ');
-      if (th.size() != 2 || th[0] != "tree")
-        return Status::InvalidArgument("bad tree header");
-      size_t n_nodes = static_cast<size_t>(std::atoll(th[1].c_str()));
-      Tree tree;
-      tree.nodes.reserve(n_nodes);
-      for (size_t k = 0; k < n_nodes; ++k) {
-        line = next();
-        if (!line) return Status::InvalidArgument("truncated model: missing node");
-        std::vector<std::string> tn = Split(*line, ' ');
-        if (tn.size() != 6 || tn[0] != "node")
-          return Status::InvalidArgument("bad node line");
-        TreeNode n;
-        n.feature = std::atoi(tn[1].c_str());
-        n.threshold = std::atof(tn[2].c_str());
-        n.left = std::atoi(tn[3].c_str());
-        n.right = std::atoi(tn[4].c_str());
-        n.value = std::atof(tn[5].c_str());
-        tree.nodes.push_back(n);
-      }
-      model.trees_.push_back(std::move(tree));
-    }
+  if (!lines.Next(&line)) return Status::InvalidArgument("empty model text");
+  SplitViews(line, ' ', &tok);
+  int32_t nf = 0;
+  int64_t n_trees = 0;
+  if (tok.size() != 4 || tok[0] != "gbdt" || !ParseInt32(tok[1], &nf).ok() || nf < 0 ||
+      !ParseInt64(tok[2], &n_trees).ok() ||
+      !ParseFiniteDouble(tok[3], &model.base_score_).ok()) {
+    return Status::InvalidArgument("bad gbdt header");
   }
-  model.gain_by_feature_.assign(model.num_features_, 0.0);
+  PHOEBE_RETURN_NOT_OK(lines.CheckCount(n_trees, "gbdt trees"));
+  model.num_features_ = static_cast<size_t>(nf);
+  model.trees_.reserve(static_cast<size_t>(n_trees));
+  for (int64_t t = 0; t < n_trees; ++t) {
+    if (!lines.Next(&line)) return Status::InvalidArgument("truncated model: missing tree");
+    SplitViews(line, ' ', &tok);
+    int64_t n_nodes = 0;
+    if (tok.size() != 2 || tok[0] != "tree" || !ParseInt64(tok[1], &n_nodes).ok() ||
+        n_nodes < 1) {
+      return Status::InvalidArgument("bad tree header");
+    }
+    PHOEBE_RETURN_NOT_OK(lines.CheckCount(n_nodes, "tree nodes"));
+    Tree tree;
+    tree.nodes.reserve(static_cast<size_t>(n_nodes));
+    for (int64_t k = 0; k < n_nodes; ++k) {
+      if (!lines.Next(&line)) return Status::InvalidArgument("truncated model: missing node");
+      SplitViews(line, ' ', &tok);
+      TreeNode n;
+      if (tok.size() != 6 || tok[0] != "node" || !ParseInt32(tok[1], &n.feature).ok() ||
+          !ParseFiniteDouble(tok[2], &n.threshold).ok() ||
+          !ParseInt32(tok[3], &n.left).ok() || !ParseInt32(tok[4], &n.right).ok() ||
+          !ParseFiniteDouble(tok[5], &n.value).ok()) {
+        return Status::InvalidArgument("bad node line");
+      }
+      // A leaf is feature -1. A split reads a feature the model has, and its
+      // children point forward inside the tree, so every walk ends at a leaf.
+      if (n.feature < -1 || n.feature >= nf) {
+        return Status::InvalidArgument("node split feature out of range");
+      }
+      if (!n.is_leaf() && (n.left <= k || n.left >= n_nodes || n.right <= k ||
+                           n.right >= n_nodes)) {
+        return Status::InvalidArgument("node child index out of range");
+      }
+      tree.nodes.push_back(n);
+    }
+    model.trees_.push_back(std::move(tree));
+  }
+  if (lines.Next(&line)) return Status::InvalidArgument("trailing data after gbdt model");
   model.RebuildFlatForest();
   model.fitted_ = true;
   *out = std::move(model);

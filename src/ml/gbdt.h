@@ -84,16 +84,14 @@ class GbdtRegressor : public Regressor {
 
   /// Batched forest traversal over the flattened SoA node arrays: tree-major
   /// within fixed row blocks, so one tree's nodes stay cache-hot while a
-  /// whole block of rows walks it. Bit-equal to the scalar Predict (same
-  /// thresholds, same per-row tree accumulation order).
-  std::vector<double> PredictBatch(const FeatureMatrix& x) const override;
-
-  /// Same blocked tree-major traversal over an explicit row subset, writing
-  /// into a caller-owned buffer (no allocation once `out` is warm). Per-row
-  /// accumulation order matches Predict exactly, so results stay bit-equal.
+  /// whole block of rows walks it. Writes into a caller-owned buffer (no
+  /// allocation once `out` is warm). Per-row accumulation order matches
+  /// Predict exactly (same thresholds, trees summed in tree order), so
+  /// results stay bit-equal.
   void PredictRowsInto(const FeatureMatrix& x, std::span<const size_t> rows,
                        std::vector<double>* out) const override;
 
+  size_t num_features() const override { return num_features_; }
   bool fitted() const override { return fitted_; }
 
   const GbdtParams& params() const { return params_; }
@@ -103,13 +101,19 @@ class GbdtRegressor : public Regressor {
   double best_validation_mse() const { return best_validation_mse_; }
 
   /// Total split gain accumulated per feature during training (normalized to
-  /// sum to 1). Empty before Fit.
+  /// sum to 1). Empty before Fit, and for a model loaded by FromText (the
+  /// text format does not carry gains).
   std::vector<double> FeatureImportanceGain() const;
 
   /// Serialize to a line-oriented text format; FromText round-trips it.
   std::string ToText() const;
   /// Primary Status-first parse entry point: on error `*out` is untouched
-  /// and the Status names what was malformed (never a crash).
+  /// and the Status names what was malformed (never a crash). Every token
+  /// goes through the strict parsers in common/strings.h, declared counts are
+  /// capped by the lines left, and a model is rejected unless every tree has
+  /// a node, every split feature is below the declared width, and every
+  /// child index points forward inside its tree — so a loaded model never
+  /// reads out of bounds or loops.
   static Status FromText(std::string_view text, GbdtRegressor* out);
   /// Deprecated shim; delegates to the two-argument overload.
   static Result<GbdtRegressor> FromText(const std::string& text);
@@ -117,7 +121,7 @@ class GbdtRegressor : public Regressor {
  private:
   Status FitCore(const Dataset& train, const Dataset* valid);
 
-  /// Serving layout for PredictBatch: all trees' nodes concatenated into
+  /// Serving layout for PredictRowsInto: all trees' nodes concatenated into
   /// contiguous structure-of-arrays columns (child indices already offset
   /// into the concatenated arrays), replacing the per-tree vector-of-structs
   /// pointer chase. Rebuilt from `trees_` after Fit and FromText; never

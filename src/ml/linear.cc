@@ -114,19 +114,6 @@ double RidgeRegressor::Predict(std::span<const double> features) const {
   return out;
 }
 
-void RidgeRegressor::PredictRowsInto(const FeatureMatrix& x, std::span<const size_t> rows,
-                                     std::vector<double>* out) const {
-  PHOEBE_CHECK_MSG(fitted_, "PredictRowsInto called before Fit");
-  out->resize(rows.size());
-  for (size_t k = 0; k < rows.size(); ++k) {
-    auto row = x.Row(rows[k]);
-    PHOEBE_CHECK(row.size() == weights_.size());
-    double y = intercept_;
-    for (size_t f = 0; f < weights_.size(); ++f) y += weights_[f] * row[f];
-    (*out)[k] = y;
-  }
-}
-
 std::string RidgeRegressor::ToText() const {
   PHOEBE_CHECK_MSG(fitted_, "ToText called before Fit");
   std::string out = StrFormat("ridge %zu %.17g\n", weights_.size(), intercept_);
@@ -136,27 +123,27 @@ std::string RidgeRegressor::ToText() const {
 
 Status RidgeRegressor::FromText(std::string_view text, RidgeRegressor* out) {
   PHOEBE_CHECK(out != nullptr);
-  std::vector<std::string> lines = Split(std::string(text), '\n');
-  size_t i = 0;
-  while (i < lines.size() && lines[i].empty()) ++i;
-  if (i >= lines.size()) return Status::InvalidArgument("empty ridge model");
-  std::vector<std::string> hdr = Split(lines[i++], ' ');
-  if (hdr.size() != 3 || hdr[0] != "ridge") {
+  LineCursor lines(text);
+  std::string_view line;
+  std::vector<std::string_view> tok;
+  if (!lines.Next(&line)) return Status::InvalidArgument("empty ridge model");
+  SplitViews(line, ' ', &tok);
+  RidgeRegressor model;
+  int64_t n = 0;
+  if (tok.size() != 3 || tok[0] != "ridge" || !ParseInt64(tok[1], &n).ok() ||
+      !ParseFiniteDouble(tok[2], &model.intercept_).ok()) {
     return Status::InvalidArgument("bad ridge header");
   }
-  RidgeRegressor model;
-  size_t n = static_cast<size_t>(std::atoll(hdr[1].c_str()));
-  model.intercept_ = std::atof(hdr[2].c_str());
-  model.weights_.reserve(n);
-  for (size_t k = 0; k < n; ++k) {
-    while (i < lines.size() && lines[i].empty()) ++i;
-    if (i >= lines.size()) return Status::InvalidArgument("truncated ridge model");
-    std::vector<std::string> tok = Split(lines[i++], ' ');
-    if (tok.size() != 2 || tok[0] != "w") {
+  PHOEBE_RETURN_NOT_OK(lines.CheckCount(n, "ridge weights"));
+  model.weights_.resize(static_cast<size_t>(n));
+  for (double& w : model.weights_) {
+    if (!lines.Next(&line)) return Status::InvalidArgument("truncated ridge model");
+    SplitViews(line, ' ', &tok);
+    if (tok.size() != 2 || tok[0] != "w" || !ParseFiniteDouble(tok[1], &w).ok()) {
       return Status::InvalidArgument("bad ridge weight line");
     }
-    model.weights_.push_back(std::atof(tok[1].c_str()));
   }
+  if (lines.Next(&line)) return Status::InvalidArgument("trailing data after ridge model");
   model.fitted_ = true;
   *out = std::move(model);
   return Status::OK();

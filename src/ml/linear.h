@@ -23,10 +23,7 @@ class RidgeRegressor : public Regressor {
 
   Status Fit(const Dataset& data) override;
   double Predict(std::span<const double> features) const override;
-  /// Row-subset scoring without the per-row virtual dispatch of the base
-  /// implementation; same dot product, bit-equal to Predict.
-  void PredictRowsInto(const FeatureMatrix& x, std::span<const size_t> rows,
-                       std::vector<double>* out) const override;
+  size_t num_features() const override { return weights_.size(); }
   bool fitted() const override { return fitted_; }
 
   /// Learned weights in original (un-standardized) feature space.
@@ -36,7 +33,9 @@ class RidgeRegressor : public Regressor {
   /// Serialize to a line-oriented text format; FromText round-trips it.
   std::string ToText() const;
   /// Primary Status-first parse entry point: on error `*out` is untouched
-  /// and the Status names what was malformed (never a crash).
+  /// and the Status names what was malformed (never a crash). Tokens are
+  /// parsed strictly and the declared weight count is capped by the lines
+  /// left.
   static Status FromText(std::string_view text, RidgeRegressor* out);
   /// Deprecated shim; delegates to the two-argument overload.
   static Result<RidgeRegressor> FromText(const std::string& text);

@@ -200,54 +200,6 @@ double MlpRegressor::Predict(std::span<const double> features) const {
   return Forward(features, nullptr);
 }
 
-std::vector<double> MlpRegressor::PredictBatch(const FeatureMatrix& x) const {
-  PHOEBE_CHECK_MSG(fitted_, "PredictBatch called before Fit");
-  const size_t nr = x.num_rows();
-  std::vector<double> out(nr, 0.0);
-  if (nr == 0) return out;
-  PHOEBE_CHECK(x.num_features() == x_mean_.size());
-
-  // Widest activation across input and every layer; each row occupies a
-  // fixed max_w-sized slot in the ping-pong buffers so layers can swap
-  // buffers without reshaping.
-  size_t max_w = x_mean_.size();
-  for (const Layer& l : layers_) max_w = std::max(max_w, static_cast<size_t>(l.out));
-
-  constexpr size_t kRowBlock = 32;
-  std::vector<double> buf_a(kRowBlock * max_w, 0.0);
-  std::vector<double> buf_b(kRowBlock * max_w, 0.0);
-  for (size_t b0 = 0; b0 < nr; b0 += kRowBlock) {
-    const size_t bn = std::min(kRowBlock, nr - b0);
-    for (size_t k = 0; k < bn; ++k) {
-      auto row = x.Row(b0 + k);
-      double* dst = buf_a.data() + k * max_w;
-      for (size_t f = 0; f < x_mean_.size(); ++f) {
-        dst[f] = (row[f] - x_mean_[f]) / x_std_[f];
-      }
-    }
-    double* cur = buf_a.data();
-    double* nxt = buf_b.data();
-    for (size_t l = 0; l < layers_.size(); ++l) {
-      const Layer& layer = layers_[l];
-      const bool relu = l + 1 < layers_.size();
-      for (int o = 0; o < layer.out; ++o) {
-        const double bias = layer.b[static_cast<size_t>(o)];
-        const double* wrow =
-            layer.w.data() + static_cast<size_t>(o) * static_cast<size_t>(layer.in);
-        for (size_t k = 0; k < bn; ++k) {
-          const double* in_row = cur + k * max_w;
-          double s = bias;
-          for (int i = 0; i < layer.in; ++i) s += wrow[i] * in_row[static_cast<size_t>(i)];
-          nxt[k * max_w + static_cast<size_t>(o)] = relu ? std::max(0.0, s) : s;
-        }
-      }
-      std::swap(cur, nxt);
-    }
-    for (size_t k = 0; k < bn; ++k) out[b0 + k] = cur[k * max_w] * y_std_ + y_mean_;
-  }
-  return out;
-}
-
 void MlpRegressor::PredictRowsInto(const FeatureMatrix& x, std::span<const size_t> rows,
                                    std::vector<double>* out) const {
   PHOEBE_CHECK_MSG(fitted_, "PredictRowsInto called before Fit");
@@ -315,59 +267,62 @@ std::string MlpRegressor::ToText() const {
 
 Status MlpRegressor::FromText(std::string_view text, MlpRegressor* out) {
   PHOEBE_CHECK(out != nullptr);
-  std::vector<std::string> lines = Split(std::string(text), '\n');
-  size_t i = 0;
-  auto next = [&]() -> const std::string* {
-    while (i < lines.size() && lines[i].empty()) ++i;
-    return i < lines.size() ? &lines[i++] : nullptr;
-  };
-  const std::string* line = next();
-  if (!line) return Status::InvalidArgument("empty mlp model");
-  std::vector<std::string> hdr = Split(*line, ' ');
-  if (hdr.size() != 5 || hdr[0] != "mlp") return Status::InvalidArgument("bad mlp header");
+  LineCursor lines(text);
+  std::string_view line;
+  std::vector<std::string_view> tok;
+  if (!lines.Next(&line)) return Status::InvalidArgument("empty mlp model");
+  SplitViews(line, ' ', &tok);
 
   MlpRegressor model;
-  size_t nf = static_cast<size_t>(std::atoll(hdr[1].c_str()));
-  size_t nl = static_cast<size_t>(std::atoll(hdr[2].c_str()));
-  model.y_mean_ = std::atof(hdr[3].c_str());
-  model.y_std_ = std::atof(hdr[4].c_str());
-  for (size_t f = 0; f < nf; ++f) {
-    line = next();
-    if (!line) return Status::InvalidArgument("truncated mlp norms");
-    std::vector<std::string> tok = Split(*line, ' ');
-    if (tok.size() != 3 || tok[0] != "norm") {
+  int64_t nf = 0, nl = 0;
+  if (tok.size() != 5 || tok[0] != "mlp" || !ParseInt64(tok[1], &nf).ok() || nf < 1 ||
+      !ParseInt64(tok[2], &nl).ok() || nl < 1 ||
+      !ParseFiniteDouble(tok[3], &model.y_mean_).ok() ||
+      !ParseFiniteDouble(tok[4], &model.y_std_).ok()) {
+    return Status::InvalidArgument("bad mlp header");
+  }
+  PHOEBE_RETURN_NOT_OK(lines.CheckCount(nf, "mlp norm lines"));
+  PHOEBE_RETURN_NOT_OK(lines.CheckCount(nl, "mlp layers"));
+  model.x_mean_.resize(static_cast<size_t>(nf));
+  model.x_std_.resize(static_cast<size_t>(nf));
+  for (size_t f = 0; f < model.x_mean_.size(); ++f) {
+    if (!lines.Next(&line)) return Status::InvalidArgument("truncated mlp norms");
+    SplitViews(line, ' ', &tok);
+    if (tok.size() != 3 || tok[0] != "norm" ||
+        !ParseFiniteDouble(tok[1], &model.x_mean_[f]).ok() ||
+        !ParseFiniteDouble(tok[2], &model.x_std_[f]).ok()) {
       return Status::InvalidArgument("bad mlp norm line");
     }
-    model.x_mean_.push_back(std::atof(tok[1].c_str()));
-    model.x_std_.push_back(std::atof(tok[2].c_str()));
   }
-  for (size_t l = 0; l < nl; ++l) {
-    line = next();
-    if (!line) return Status::InvalidArgument("truncated mlp layers");
-    std::vector<std::string> tok = Split(*line, ' ');
-    if (tok.size() != 3 || tok[0] != "layer") {
+  // Layer shapes chain from the input width down to the one output.
+  int64_t width = nf;
+  auto read_values = [&](int64_t n, std::vector<double>* v, const char* what) {
+    PHOEBE_RETURN_NOT_OK(lines.CheckCount(n, what));
+    v->resize(static_cast<size_t>(n));
+    for (double& x : *v) {
+      if (!lines.Next(&line) || !ParseFiniteDouble(line, &x).ok()) {
+        return Status::InvalidArgument(std::string("bad or missing ") + what);
+      }
+    }
+    return Status::OK();
+  };
+  for (int64_t l = 0; l < nl; ++l) {
+    if (!lines.Next(&line)) return Status::InvalidArgument("truncated mlp layers");
+    SplitViews(line, ' ', &tok);
+    Layer layer;
+    if (tok.size() != 3 || tok[0] != "layer" || !ParseInt32(tok[1], &layer.in).ok() ||
+        !ParseInt32(tok[2], &layer.out).ok()) {
       return Status::InvalidArgument("bad mlp layer header");
     }
-    Layer layer;
-    layer.in = std::atoi(tok[1].c_str());
-    layer.out = std::atoi(tok[2].c_str());
-    if (layer.in < 1 || layer.out < 1) {
+    if (layer.in != width || layer.out < 1 || (l + 1 == nl && layer.out != 1)) {
       return Status::InvalidArgument("bad mlp layer shape");
     }
-    size_t nw = static_cast<size_t>(layer.in) * static_cast<size_t>(layer.out);
-    layer.w.reserve(nw);
-    for (size_t k = 0; k < nw; ++k) {
-      line = next();
-      if (!line) return Status::InvalidArgument("truncated mlp weights");
-      layer.w.push_back(std::atof(line->c_str()));
-    }
-    for (int k = 0; k < layer.out; ++k) {
-      line = next();
-      if (!line) return Status::InvalidArgument("truncated mlp biases");
-      layer.b.push_back(std::atof(line->c_str()));
-    }
+    PHOEBE_RETURN_NOT_OK(read_values(int64_t{layer.in} * layer.out, &layer.w, "mlp weights"));
+    PHOEBE_RETURN_NOT_OK(read_values(layer.out, &layer.b, "mlp biases"));
+    width = layer.out;
     model.layers_.push_back(std::move(layer));
   }
+  if (lines.Next(&line)) return Status::InvalidArgument("trailing data after mlp model");
   model.fitted_ = true;
   *out = std::move(model);
   return Status::OK();

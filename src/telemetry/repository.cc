@@ -94,58 +94,54 @@ std::string HistoricStats::ToText() const {
 Status HistoricStats::FromText(std::string_view text, HistoricStats* out) {
   PHOEBE_CHECK(out != nullptr);
   HistoricStats stats;
-  std::vector<std::string> lines = Split(std::string(text), '\n');
-  size_t i = 0;
-  auto next = [&]() -> const std::string* {
-    while (i < lines.size() && lines[i].empty()) ++i;
-    return i < lines.size() ? &lines[i++] : nullptr;
-  };
-  const std::string* line = next();
-  if (!line) return Status::InvalidArgument("empty historic stats");
-  std::vector<std::string> hdr = Split(*line, ' ');
-  if (hdr.size() != 3 || hdr[0] != "historic_stats") {
+  LineCursor lines(text);
+  std::string_view line;
+  std::vector<std::string_view> tok;
+  if (!lines.Next(&line)) return Status::InvalidArgument("empty historic stats");
+  SplitViews(line, ' ', &tok);
+  int64_t n_tt = 0, n_t = 0;
+  if (tok.size() != 3 || tok[0] != "historic_stats" || !ParseInt64(tok[1], &n_tt).ok() ||
+      !ParseInt64(tok[2], &n_t).ok()) {
     return Status::InvalidArgument("bad historic_stats header");
   }
-  size_t n_tt = static_cast<size_t>(std::atoll(hdr[1].c_str()));
-  size_t n_t = static_cast<size_t>(std::atoll(hdr[2].c_str()));
+  PHOEBE_RETURN_NOT_OK(lines.CheckCount(n_tt, "template-type entries"));
+  PHOEBE_RETURN_NOT_OK(lines.CheckCount(n_t, "type entries"));
 
-  auto parse_acc = [](const std::vector<std::string>& tok, size_t base,
-                      Acc* out) -> bool {
-    if (tok.size() != base + 4) return false;
-    out->sum_exec = std::atof(tok[base].c_str());
-    out->sum_output = std::atof(tok[base + 1].c_str());
-    out->sum_ttl = std::atof(tok[base + 2].c_str());
-    out->n = std::atoll(tok[base + 3].c_str());
-    return true;
+  // The accumulator is the last four tokens of its line, its key the ones
+  // between the tag and it.
+  auto parse_line = [&](std::string_view tag, size_t n_keys, int32_t* keys,
+                        Acc* acc) -> bool {
+    if (!lines.Next(&line)) return false;
+    SplitViews(line, ' ', &tok);
+    if (tok.size() != 1 + n_keys + 4 || tok[0] != tag) return false;
+    for (size_t k = 0; k < n_keys; ++k) {
+      if (!ParseInt32(tok[1 + k], &keys[k]).ok()) return false;
+    }
+    const size_t base = 1 + n_keys;
+    return ParseFiniteDouble(tok[base], &acc->sum_exec).ok() &&
+           ParseFiniteDouble(tok[base + 1], &acc->sum_output).ok() &&
+           ParseFiniteDouble(tok[base + 2], &acc->sum_ttl).ok() &&
+           ParseInt64(tok[base + 3], &acc->n).ok() && acc->n >= 0;
   };
 
-  line = next();
-  if (!line) return Status::InvalidArgument("missing global accumulator");
-  std::vector<std::string> tok = Split(*line, ' ');
-  if (tok.empty() || tok[0] != "global" || !parse_acc(tok, 1, &stats.global_)) {
+  if (!parse_line("global", 0, nullptr, &stats.global_)) {
     return Status::InvalidArgument("bad global accumulator");
   }
-  for (size_t k = 0; k < n_tt; ++k) {
-    line = next();
-    if (!line) return Status::InvalidArgument("truncated template-type entries");
-    tok = Split(*line, ' ');
+  int32_t key[2] = {0, 0};
+  for (int64_t k = 0; k < n_tt; ++k) {
     Acc acc;
-    if (tok.size() != 7 || tok[0] != "tt" || !parse_acc(tok, 3, &acc)) {
-      return Status::InvalidArgument("bad template-type entry");
+    if (!parse_line("tt", 2, key, &acc) ||
+        !stats.by_template_type_.emplace(std::make_pair(key[0], key[1]), acc).second) {
+      return Status::InvalidArgument("bad or duplicate template-type entry");
     }
-    stats.by_template_type_[{std::atoi(tok[1].c_str()), std::atoi(tok[2].c_str())}] =
-        acc;
   }
-  for (size_t k = 0; k < n_t; ++k) {
-    line = next();
-    if (!line) return Status::InvalidArgument("truncated type entries");
-    tok = Split(*line, ' ');
+  for (int64_t k = 0; k < n_t; ++k) {
     Acc acc;
-    if (tok.size() != 6 || tok[0] != "t" || !parse_acc(tok, 2, &acc)) {
-      return Status::InvalidArgument("bad type entry");
+    if (!parse_line("t", 1, key, &acc) || !stats.by_type_.emplace(key[0], acc).second) {
+      return Status::InvalidArgument("bad or duplicate type entry");
     }
-    stats.by_type_[std::atoi(tok[1].c_str())] = acc;
   }
+  if (lines.Next(&line)) return Status::InvalidArgument("trailing data after historic stats");
   *out = std::move(stats);
   return Status::OK();
 }

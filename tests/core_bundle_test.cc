@@ -6,9 +6,12 @@
 
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/checksum.h"
+#include "common/strings.h"
 #include "core/bundle.h"
 #include "core/engine.h"
 #include "core/pipeline.h"
@@ -62,6 +65,28 @@ class BundleFixture : public ::testing::Test {
 
 workload::WorkloadGenerator* BundleFixture::gen_ = nullptr;
 telemetry::WorkloadRepository* BundleFixture::repo_ = nullptr;
+
+#ifndef PHOEBE_FUZZ_CORPUS_DIR
+#error "PHOEBE_FUZZ_CORPUS_DIR must point at tests/fuzz_corpus"
+#endif
+
+std::string ReadCorpusFile(const std::string& name) {
+  std::ifstream in(std::string(PHOEBE_FUZZ_CORPUS_DIR) + "/" + name, std::ios::binary);
+  EXPECT_TRUE(in.good()) << "cannot open " << name;
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+/// `text` with its checksum line recomputed over the (possibly edited)
+/// payload, so a test reaches the parsers behind the CRC gate.
+std::string WithFreshChecksum(const std::string& text) {
+  const size_t magic_end = text.find('\n') + 1;
+  const size_t payload = text.find('\n', magic_end) + 1;
+  return text.substr(0, magic_end) +
+         StrFormat("checksum %08x\n", Crc32(text.data() + payload, text.size() - payload)) +
+         text.substr(payload);
+}
 
 /// Every decision input and output compared bit-exactly between two engines
 /// over the held-out day, for every cost source.
@@ -184,6 +209,26 @@ TEST_F(BundleFixture, LoaderRejectsCorruption) {
   EXPECT_FALSE(PipelineBundle::LoadFromFile(TempPath("missing.phoebe")).ok());
 }
 
+TEST_F(BundleFixture, BadNodeBehindAFreshChecksumIsRejected) {
+  // The CRC only catches accidental damage. A re-checksummed file whose model
+  // is structurally bad must still fail in the model parser — not load, then
+  // loop or read out of bounds on the first predict.
+  PhoebePipeline p = TrainSmall(ModelKind::kGbdtPerStageType);
+  auto text = p.bundle()->ToText();
+  ASSERT_TRUE(text.ok());
+  const size_t node = text->find("\nnode ", text->find("section exec ")) + 1;
+  const size_t end = text->find('\n', node);
+  std::vector<std::string> tok = Split(text->substr(node, end - node), ' ');
+  ASSERT_EQ(tok.size(), 6u);
+  ASSERT_EQ(tok[3], "1");  // the first tree's root splits; its left child
+  tok[3] = "0";            // now points back at the root
+  const std::string bad = text->substr(0, node) + Join(tok, " ") + text->substr(end);
+  auto r = PipelineBundle::FromText(WithFreshChecksum(bad));
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.status().ToString().find("child index"), std::string::npos)
+      << r.status().ToString();
+}
+
 TEST_F(BundleFixture, LoadedConfigMatchesSaved) {
   PipelineConfig cfg = SmallConfig(ModelKind::kGbdtGeneral);
   cfg.delta = 0.00123;
@@ -200,15 +245,78 @@ TEST_F(BundleFixture, LoadedConfigMatchesSaved) {
   EXPECT_EQ((*bundle)->delta(), 0.00123);
 }
 
-TEST_F(BundleFixture, WithBatchInferenceTogglePreservesDecisions) {
-  PhoebePipeline p = TrainSmall(ModelKind::kGbdtPerStageType);
-  auto off = p.bundle()->WithBatchInference(false);
-  ASSERT_TRUE(off.ok()) << off.status().ToString();
-  EXPECT_FALSE((*off)->config().exec_predictor.batch_inference);
-  DecisionEngine on_engine(p.bundle());
-  DecisionEngine off_engine(*off);
-  ExpectBitIdenticalDecisions(on_engine, off_engine, repo_->Day(3),
+TEST_F(BundleFixture, V1SeedLoadsAndDecidesLikeItsV2Resave) {
+  const std::string v1 = ReadCorpusFile("bundle_seed_valid.bundle");
+  ASSERT_EQ(v1.rfind("PHOEBEBUNDLE 1\n", 0), 0u) << "the seed must stay a v1 file";
+  auto from_v1 = PipelineBundle::FromText(v1);
+  ASSERT_TRUE(from_v1.ok()) << from_v1.status().ToString();
+  auto v2 = (*from_v1)->ToText();
+  ASSERT_TRUE(v2.ok()) << v2.status().ToString();
+
+  // The re-save differs only in the version line, the checksum line, the
+  // config length, and the three retired keys.
+  std::vector<std::string> old_lines = Split(v1, '\n');
+  std::vector<std::string> retired;
+  std::erase_if(old_lines, [&](const std::string& line) {
+    if (line.find(".batch_inference ") == std::string::npos) return false;
+    retired.push_back(line);
+    return true;
+  });
+  EXPECT_EQ(retired, (std::vector<std::string>{"exec.batch_inference 1",
+                                               "size.batch_inference 1",
+                                               "ttl.batch_inference 1"}));
+  std::vector<std::string> new_lines = Split(*v2, '\n');
+  ASSERT_EQ(old_lines.size(), new_lines.size());
+  EXPECT_EQ(new_lines[0], "PHOEBEBUNDLE 2");
+  EXPECT_NE(old_lines[1], new_lines[1]);
+  size_t retired_bytes = 0;
+  for (const std::string& line : retired) retired_bytes += line.size() + 1;
+  int64_t old_config = 0;
+  ASSERT_TRUE(ParseInt64(old_lines[2].substr(15), &old_config).ok()) << old_lines[2];
+  EXPECT_EQ(new_lines[2],
+            "section config " + std::to_string(old_config - static_cast<int64_t>(
+                                                   retired_bytes)));
+  for (size_t i = 3; i < old_lines.size(); ++i) {
+    ASSERT_EQ(old_lines[i], new_lines[i]) << "line " << i;
+  }
+
+  auto from_v2 = PipelineBundle::FromText(*v2);
+  ASSERT_TRUE(from_v2.ok()) << from_v2.status().ToString();
+  EXPECT_EQ((*from_v1)->checksum(), (*from_v2)->checksum());
+  DecisionEngine v1_engine(*from_v1);
+  DecisionEngine v2_engine(*from_v2);
+  ExpectBitIdenticalDecisions(v1_engine, v2_engine, repo_->Day(3),
                               repo_->StatsBefore(3));
+}
+
+TEST_F(BundleFixture, RetiredBatchKeysMustBeBooleanInV1AndAbsentInV2) {
+  const std::string v1 = ReadCorpusFile("bundle_seed_valid.bundle");
+  // Replace `from` with `to` and keep the config section's byte length in
+  // step, so the only defect left is the one under test.
+  auto edit = [&](const std::string& from, const std::string& to) {
+    std::string t = v1;
+    const size_t at = t.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    t.replace(at, from.size(), to);
+    const size_t len_at = t.find("section config ") + 15;
+    const size_t len_end = t.find('\n', len_at);
+    int64_t n = 0;
+    EXPECT_TRUE(ParseInt64(t.substr(len_at, len_end - len_at), &n).ok());
+    n += static_cast<int64_t>(to.size()) - static_cast<int64_t>(from.size());
+    t.replace(len_at, len_end - len_at, std::to_string(n));
+    return WithFreshChecksum(t);
+  };
+  const std::string key = "exec.batch_inference 1\n";
+  EXPECT_TRUE(PipelineBundle::FromText(edit(key, key)).ok());
+  // v1: the key must be present and boolean.
+  for (const std::string bad : {"", "exec.batch_inference 2\n", "exec.batch_inference x\n"}) {
+    EXPECT_FALSE(PipelineBundle::FromText(edit(key, bad)).ok()) << bad;
+  }
+  // v2: the same, otherwise valid, config is rejected — the key is unknown.
+  auto r = PipelineBundle::FromText(edit("PHOEBEBUNDLE 1\n", "PHOEBEBUNDLE 2\n"));
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.status().ToString().find("batch_inference"), std::string::npos)
+      << r.status().ToString();
 }
 
 }  // namespace

@@ -1,22 +1,15 @@
-// Tests for the retraining driver: bootstrap, age-based and accuracy-based
-// retraining, ordering constraints, and solver node-selection parity (the
-// best-first MILP option shares this file for build economy).
+// Tests for the retrain policy's validation and solver node-selection parity
+// (the best-first MILP option shares this file for build economy). The
+// policy's triggers — bootstrap, accuracy, age — are exercised through
+// LifecycleDriver in lifecycle_test.
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "core/retrainer.h"
 #include "solver/milp.h"
-#include "telemetry/repository.h"
-#include "workload/generator.h"
 
 namespace phoebe::core {
 namespace {
-
-workload::WorkloadGenerator MakeGen(uint64_t seed = 17) {
-  workload::WorkloadConfig cfg;
-  cfg.num_templates = 12;
-  cfg.seed = seed;
-  return workload::WorkloadGenerator(cfg);
-}
 
 TEST(RetrainPolicyTest, Validation) {
   EXPECT_TRUE(RetrainPolicy{}.Validate().ok());
@@ -45,147 +38,6 @@ TEST(RetrainPolicyTest, ValidationRejectsBadWindows) {
   p.train_window_days = 1;
   p.min_history_days = 1;
   EXPECT_TRUE(p.Validate().ok());
-}
-
-TEST(RetrainerTest, StaysUndeployedBelowMinHistory) {
-  auto gen = MakeGen(16);
-  telemetry::WorkloadRepository repo;
-  RetrainPolicy policy;
-  policy.min_history_days = 4;
-  RetrainingDriver driver(policy);
-  for (int d = 0; d < 3; ++d) {  // one day short of the bootstrap threshold
-    repo.AddDay(d, gen.GenerateDay(d)).Check();
-    auto r = driver.OnDayCompleted(repo, d);
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    EXPECT_FALSE(r->retrained);
-    EXPECT_STREQ(r->reason, "");
-    EXPECT_EQ(r->model_age_days, -1);
-  }
-  EXPECT_FALSE(driver.deployed());
-  EXPECT_EQ(driver.trained_on_day(), -1);
-}
-
-TEST(RetrainerTest, ReportedR2MatchesTheSharedSignal) {
-  // The lifecycle loop triggers off EvaluateExecR2 directly; the driver's
-  // report must carry the identical measurement.
-  auto gen = MakeGen(22);
-  telemetry::WorkloadRepository repo;
-  RetrainPolicy policy;
-  policy.min_history_days = 1;
-  policy.max_age_days = 100;
-  policy.min_exec_r2 = -1.0;  // never retrain after bootstrap
-  RetrainingDriver driver(policy);
-  repo.AddDay(0, gen.GenerateDay(0)).Check();
-  driver.OnDayCompleted(repo, 0).status().Check();
-  repo.AddDay(1, gen.GenerateDay(1)).Check();
-  auto r = driver.OnDayCompleted(repo, 1);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->exec_r2,
-            EvaluateExecR2(driver.pipeline().exec_predictor(), repo, 1));
-}
-
-TEST(RetrainerTest, BootstrapsAfterMinHistory) {
-  auto gen = MakeGen();
-  telemetry::WorkloadRepository repo;
-  RetrainPolicy policy;
-  policy.min_history_days = 2;
-  policy.train_window_days = 3;
-  RetrainingDriver driver(policy);
-  EXPECT_FALSE(driver.deployed());
-
-  repo.AddDay(0, gen.GenerateDay(0)).Check();
-  auto r0 = driver.OnDayCompleted(repo, 0);
-  ASSERT_TRUE(r0.ok());
-  EXPECT_FALSE(r0->retrained);  // not enough history yet
-  EXPECT_FALSE(driver.deployed());
-
-  repo.AddDay(1, gen.GenerateDay(1)).Check();
-  auto r1 = driver.OnDayCompleted(repo, 1);
-  ASSERT_TRUE(r1.ok());
-  EXPECT_TRUE(r1->retrained);
-  EXPECT_STREQ(r1->reason, "bootstrap");
-  EXPECT_TRUE(driver.deployed());
-  EXPECT_EQ(driver.trained_on_day(), 1);
-}
-
-TEST(RetrainerTest, AgeTriggersRetrain) {
-  auto gen = MakeGen(18);
-  telemetry::WorkloadRepository repo;
-  RetrainPolicy policy;
-  policy.min_history_days = 1;
-  policy.train_window_days = 2;
-  policy.max_age_days = 2;
-  policy.min_exec_r2 = -1.0;  // never trigger on accuracy
-  RetrainingDriver driver(policy);
-
-  for (int d = 0; d <= 4; ++d) {
-    repo.AddDay(d, gen.GenerateDay(d)).Check();
-    auto r = driver.OnDayCompleted(repo, d);
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-  }
-  // Day 0 bootstraps; day 2 hits age 2; day 4 hits age 2 again.
-  const auto& h = driver.history();
-  ASSERT_EQ(h.size(), 5u);
-  EXPECT_TRUE(h[0].retrained);
-  EXPECT_FALSE(h[1].retrained);
-  EXPECT_TRUE(h[2].retrained);
-  EXPECT_STREQ(h[2].reason, "age");
-  EXPECT_FALSE(h[3].retrained);
-  EXPECT_TRUE(h[4].retrained);
-}
-
-TEST(RetrainerTest, AccuracyTriggersRetrain) {
-  auto gen = MakeGen(19);
-  telemetry::WorkloadRepository repo;
-  RetrainPolicy policy;
-  policy.min_history_days = 1;
-  policy.max_age_days = 100;   // never trigger on age
-  policy.min_exec_r2 = 0.999;  // always trigger on accuracy
-  RetrainingDriver driver(policy);
-
-  repo.AddDay(0, gen.GenerateDay(0)).Check();
-  driver.OnDayCompleted(repo, 0).status().Check();  // bootstrap
-  repo.AddDay(1, gen.GenerateDay(1)).Check();
-  auto r = driver.OnDayCompleted(repo, 1);
-  ASSERT_TRUE(r.ok());
-  EXPECT_TRUE(r->retrained);
-  EXPECT_STREQ(r->reason, "accuracy");
-  EXPECT_LT(r->exec_r2, 0.999);
-  EXPECT_GT(r->exec_r2, 0.0);  // the model was not useless
-}
-
-TEST(RetrainerTest, HealthyModelIsKept) {
-  auto gen = MakeGen(20);
-  telemetry::WorkloadRepository repo;
-  RetrainPolicy policy;
-  policy.min_history_days = 2;
-  policy.max_age_days = 50;
-  policy.min_exec_r2 = 0.2;  // easily met
-  RetrainingDriver driver(policy);
-
-  for (int d = 0; d <= 3; ++d) {
-    repo.AddDay(d, gen.GenerateDay(d)).Check();
-    driver.OnDayCompleted(repo, d).status().Check();
-  }
-  const auto& h = driver.history();
-  // One bootstrap, then no retraining.
-  int retrains = 0;
-  for (const auto& r : h) retrains += r.retrained ? 1 : 0;
-  EXPECT_EQ(retrains, 1);
-  EXPECT_GT(h.back().exec_r2, 0.2);
-  EXPECT_GT(h.back().model_age_days, 0);
-}
-
-TEST(RetrainerTest, RejectsOutOfOrderDays) {
-  auto gen = MakeGen(21);
-  telemetry::WorkloadRepository repo;
-  repo.AddDay(0, gen.GenerateDay(0)).Check();
-  repo.AddDay(1, gen.GenerateDay(1)).Check();
-  RetrainingDriver driver;
-  driver.OnDayCompleted(repo, 1).status().Check();
-  EXPECT_FALSE(driver.OnDayCompleted(repo, 0).ok());
-  EXPECT_FALSE(driver.OnDayCompleted(repo, 1).ok());
-  EXPECT_TRUE(driver.OnDayCompleted(repo, 5).status().IsNotFound());
 }
 
 // ---------- MILP node-selection parity ----------

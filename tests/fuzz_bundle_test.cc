@@ -3,7 +3,8 @@
 // return a clean error Status for ANY byte sequence — truncations, bit
 // flips, header tampering, checksum damage — and never crash, throw, or trip
 // a sanitizer. The checked-in corpus under tests/fuzz_corpus/ pins one valid
-// artifact (format v1) so format drift that breaks old files is caught.
+// artifact per format version (v1 and v2) so format drift that breaks old
+// files is caught.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +14,8 @@
 #include <string>
 #include <vector>
 
+#include "common/checksum.h"
+#include "common/strings.h"
 #include "core/bundle.h"
 #include "core/fleet_shard.h"
 #include "core/pipeline.h"
@@ -98,15 +101,46 @@ TEST(FuzzBundleCorpusTest, FilesNeverCrashAndValidSeedsParse) {
   }
 }
 
+/// The bytes a v1 bundle re-saves as: version 2, the three retired
+/// `*.batch_inference` keys dropped, the config length and the checksum
+/// recomputed. Everything else is carried over unchanged.
+std::string UpgradeV1Bundle(const std::string& v1) {
+  std::string payload = v1.substr(v1.find('\n', v1.find('\n') + 1) + 1);
+  size_t removed = 0;
+  for (const std::string key : {"\nexec.batch_inference ", "\nsize.batch_inference ",
+                                 "\nttl.batch_inference "}) {
+    const size_t at = payload.find(key);
+    EXPECT_NE(at, std::string::npos) << key;
+    const size_t len = payload.find('\n', at + 1) - at;
+    payload.erase(at, len);
+    removed += len;
+  }
+  const size_t header_end = payload.find('\n');
+  int64_t config_bytes = 0;
+  EXPECT_TRUE(ParseInt64(payload.substr(15, header_end - 15), &config_bytes).ok());
+  payload.replace(0, header_end,
+                  "section config " +
+                      std::to_string(config_bytes - static_cast<int64_t>(removed)));
+  return "PHOEBEBUNDLE 2\n" + StrFormat("checksum %08x\n", Crc32(payload)) + payload;
+}
+
 TEST(FuzzBundleCorpusTest, ValidSeedRoundTripsAndDecodesTrained) {
+  // The v1 seed pins backward compatibility: it must keep loading, and it
+  // re-saves as exactly its v2 upgrade. Current-version seeds round-trip
+  // byte for byte.
   for (const auto& p : CorpusFiles(".bundle")) {
     if (p.filename().string().find("_valid") == std::string::npos) continue;
-    auto bundle = core::PipelineBundle::FromText(ReadFileOrDie(p));
+    const std::string text = ReadFileOrDie(p);
+    auto bundle = core::PipelineBundle::FromText(text);
     ASSERT_TRUE(bundle.ok()) << p << ": " << bundle.status().ToString();
     EXPECT_TRUE((*bundle)->trained());
-    auto text = (*bundle)->ToText();
-    ASSERT_TRUE(text.ok());
-    EXPECT_EQ(*text, ReadFileOrDie(p)) << p << " does not round-trip";
+    auto text2 = (*bundle)->ToText();
+    ASSERT_TRUE(text2.ok());
+    if (text.rfind("PHOEBEBUNDLE 1\n", 0) == 0) {
+      EXPECT_EQ(*text2, UpgradeV1Bundle(text)) << p << " does not upgrade to v2";
+    } else {
+      EXPECT_EQ(*text2, text) << p << " does not round-trip";
+    }
   }
 }
 

@@ -1,5 +1,6 @@
 // Tests for the continuous-operation loop: the CRC-checked promotion log,
-// the shadow byte-diff, and the LifecycleDriver's canary promotion gate —
+// the shadow byte-diff, the retrain trigger (RetrainPolicy: bootstrap,
+// accuracy, age), and the LifecycleDriver's canary promotion gate —
 // a candidate replaces the incumbent only when its trailing-window backtest
 // cost strictly beats the incumbent's, and every verdict (either way) lands
 // in the promotion log with both bundle checksums.
@@ -13,6 +14,7 @@
 #include "common/strings.h"
 #include "core/bundle.h"
 #include "core/fleet_shard.h"
+#include "core/retrainer.h"
 #include "lifecycle/lifecycle.h"
 #include "lifecycle/promotion_log.h"
 #include "lifecycle/shadow.h"
@@ -517,6 +519,161 @@ TEST(LifecycleDriverTest, RetentionEvictsOnlyOutgrownDays) {
   // The surviving window is exactly the trailing retention_days.
   EXPECT_EQ(repo.Days(), (std::vector<int>{4, 5, 6}));
   EXPECT_TRUE(driver.deployed());
+}
+
+// ---------- the retrain trigger (RetrainPolicy), as LifecycleDriver applies it ----------
+
+TEST(RetrainerTest, StaysUndeployedBelowMinHistory) {
+  auto gen = MakeGen(16);
+  telemetry::WorkloadRepository repo;
+  LifecycleConfig cfg = SmallLoop();
+  cfg.policy.min_history_days = 4;
+  LifecycleDriver driver(cfg);
+  for (int d = 0; d < 3; ++d) {  // one day short of the bootstrap threshold
+    repo.AddDay(d, gen.GenerateDay(d)).Check();
+    auto r = driver.OnDayCompleted(&repo, d);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_FALSE(r->retrained);
+    EXPECT_EQ(r->reason, "");
+    EXPECT_EQ(r->model_age_days, -1);
+    EXPECT_FALSE(r->served);
+  }
+  EXPECT_FALSE(driver.deployed());
+  EXPECT_EQ(driver.trained_on_day(), -1);
+  EXPECT_TRUE(driver.promotion_records().empty());
+}
+
+TEST(RetrainerTest, ReportedR2MatchesTheSharedSignal) {
+  // The day report carries exactly the EvaluateExecR2 measurement of the
+  // model that served the day.
+  auto gen = MakeGen(22);
+  telemetry::WorkloadRepository repo;
+  LifecycleConfig cfg = SmallLoop();
+  cfg.policy.min_history_days = 1;
+  cfg.policy.max_age_days = 100;
+  cfg.policy.min_exec_r2 = -1.0;  // never retrain after bootstrap
+  LifecycleDriver driver(cfg);
+  repo.AddDay(0, gen.GenerateDay(0)).Check();
+  driver.OnDayCompleted(&repo, 0).status().Check();
+  repo.AddDay(1, gen.GenerateDay(1)).Check();
+  auto r = driver.OnDayCompleted(&repo, 1);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_TRUE(r->served);
+  EXPECT_FALSE(r->retrained);
+  EXPECT_EQ(r->exec_r2, core::EvaluateExecR2(driver.incumbent()->exec_predictor(), repo, 1));
+}
+
+TEST(RetrainerTest, BootstrapsAfterMinHistory) {
+  auto gen = MakeGen(17);
+  telemetry::WorkloadRepository repo;
+  LifecycleConfig cfg = SmallLoop();
+  cfg.policy.min_history_days = 2;
+  cfg.policy.train_window_days = 3;
+  LifecycleDriver driver(cfg);
+  EXPECT_FALSE(driver.deployed());
+
+  repo.AddDay(0, gen.GenerateDay(0)).Check();
+  auto r0 = driver.OnDayCompleted(&repo, 0);
+  ASSERT_TRUE(r0.ok()) << r0.status().ToString();
+  EXPECT_FALSE(r0->retrained);  // not enough history yet
+  EXPECT_FALSE(driver.deployed());
+
+  repo.AddDay(1, gen.GenerateDay(1)).Check();
+  auto r1 = driver.OnDayCompleted(&repo, 1);
+  ASSERT_TRUE(r1.ok()) << r1.status().ToString();
+  EXPECT_TRUE(r1->retrained);
+  EXPECT_EQ(r1->reason, "bootstrap");
+  EXPECT_TRUE(driver.deployed());
+  EXPECT_EQ(driver.trained_on_day(), 1);
+}
+
+TEST(RetrainerTest, AgeTriggersRetrain) {
+  auto gen = MakeGen(18);
+  telemetry::WorkloadRepository repo;
+  LifecycleConfig cfg = SmallLoop();
+  cfg.policy.min_history_days = 1;
+  cfg.policy.train_window_days = 2;
+  cfg.policy.max_age_days = 2;
+  cfg.policy.min_exec_r2 = -1.0;  // never trigger on accuracy
+  LifecycleDriver driver(cfg);
+  for (int d = 0; d <= 4; ++d) {
+    repo.AddDay(d, gen.GenerateDay(d)).Check();
+    driver.OnDayCompleted(&repo, d).status().Check();
+  }
+  // Day 0 bootstraps and day 2 reaches age 2. After that the model's age —
+  // reset only by a promotion — alone decides: retrain iff it is >= 2.
+  const auto& h = driver.history();
+  ASSERT_EQ(h.size(), 5u);
+  EXPECT_EQ(h[0].reason, "bootstrap");
+  EXPECT_EQ(h[1].reason, "");
+  EXPECT_EQ(h[2].reason, "age");
+  for (size_t d = 1; d < h.size(); ++d) {
+    EXPECT_EQ(h[d].retrained, h[d].model_age_days >= 2) << "day " << d;
+    EXPECT_EQ(h[d].reason, h[d].retrained ? "age" : "") << "day " << d;
+  }
+}
+
+TEST(RetrainerTest, AccuracyTriggersRetrain) {
+  auto gen = MakeGen(19);
+  telemetry::WorkloadRepository repo;
+  LifecycleConfig cfg = SmallLoop();
+  cfg.pipeline = core::PhoebePipeline::DefaultConfig();
+  cfg.policy.min_history_days = 1;
+  cfg.policy.max_age_days = 100;   // never trigger on age
+  cfg.policy.min_exec_r2 = 0.999;  // always trigger on accuracy
+  LifecycleDriver driver(cfg);
+
+  repo.AddDay(0, gen.GenerateDay(0)).Check();
+  driver.OnDayCompleted(&repo, 0).status().Check();  // bootstrap
+  repo.AddDay(1, gen.GenerateDay(1)).Check();
+  auto r = driver.OnDayCompleted(&repo, 1);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_TRUE(r->retrained);
+  EXPECT_EQ(r->reason, "accuracy");
+  EXPECT_LT(r->exec_r2, 0.999);
+  EXPECT_GT(r->exec_r2, 0.0);  // the model was not useless
+}
+
+TEST(RetrainerTest, HealthyModelIsKept) {
+  auto gen = MakeGen(20);
+  telemetry::WorkloadRepository repo;
+  LifecycleConfig cfg = SmallLoop();
+  cfg.pipeline = core::PhoebePipeline::DefaultConfig();
+  cfg.policy.min_history_days = 2;
+  cfg.policy.max_age_days = 50;
+  cfg.policy.min_exec_r2 = 0.2;  // easily met
+  LifecycleDriver driver(cfg);
+
+  for (int d = 0; d <= 3; ++d) {
+    repo.AddDay(d, gen.GenerateDay(d)).Check();
+    driver.OnDayCompleted(&repo, d).status().Check();
+  }
+  const auto& h = driver.history();
+  // One bootstrap, then no retraining.
+  int retrains = 0;
+  for (const auto& r : h) retrains += r.retrained ? 1 : 0;
+  EXPECT_EQ(retrains, 1);
+  EXPECT_EQ(h[1].reason, "bootstrap");
+  EXPECT_EQ(h.back().reason, "");
+  EXPECT_GT(h.back().exec_r2, 0.2);
+  EXPECT_GT(h.back().model_age_days, 0);
+}
+
+TEST(RetrainerTest, RejectsOutOfOrderDays) {
+  auto gen = MakeGen(21);
+  telemetry::WorkloadRepository repo;
+  repo.AddDay(0, gen.GenerateDay(0)).Check();
+  repo.AddDay(1, gen.GenerateDay(1)).Check();
+  LifecycleDriver driver(SmallLoop());
+  driver.OnDayCompleted(&repo, 1).status().Check();
+  EXPECT_FALSE(driver.OnDayCompleted(&repo, 0).ok());
+  EXPECT_FALSE(driver.OnDayCompleted(&repo, 1).ok());
+  EXPECT_TRUE(driver.OnDayCompleted(&repo, 5).status().IsNotFound());
+  // A rejected day leaves no trace: the next in-order day is accepted.
+  EXPECT_EQ(driver.history().size(), 1u);
+  repo.AddDay(2, gen.GenerateDay(2)).Check();
+  EXPECT_TRUE(driver.OnDayCompleted(&repo, 2).ok());
+  EXPECT_EQ(driver.history().size(), 2u);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 // Serialization round-trip tests: ML models, historic statistics, stage cost
-// predictors, the TTL estimator, and whole-pipeline Save/Load.
+// predictors, the TTL estimator, and the whole-pipeline bundle
+// (SaveBundle/LoadBundle).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -14,6 +15,16 @@
 
 namespace phoebe {
 namespace {
+
+/// A temp path unique to the running test, so parallel test processes never
+/// share a file.
+std::string TestTempPath(const std::string& name) {
+  const ::testing::TestInfo* info =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  return (std::filesystem::path(::testing::TempDir()) /
+          (std::string(info->test_suite_name()) + "." + info->name() + "." + name))
+      .string();
+}
 
 ml::Dataset ToyData(size_t n, uint64_t seed) {
   Rng rng(seed);
@@ -152,16 +163,13 @@ TEST_F(CorePersistenceTest, TtlEstimatorRoundTrip) {
 }
 
 TEST_F(CorePersistenceTest, PipelineSaveLoadRoundTrip) {
-  std::string dir =
-      (std::filesystem::temp_directory_path() / "phoebe_persist_test").string();
-  std::filesystem::remove_all(dir);
-  ASSERT_TRUE(pipeline_->Save(dir).ok());
-  for (const char* f : {"exec.model", "size.model", "ttl.model", "stats.txt"}) {
-    EXPECT_TRUE(std::filesystem::exists(dir + "/" + f)) << f;
-  }
+  const std::string path = TestTempPath("pipeline.phoebe");
+  std::filesystem::remove(path);
+  ASSERT_TRUE(pipeline_->SaveBundle(path).ok());
+  EXPECT_TRUE(std::filesystem::exists(path)) << path;
 
   core::PhoebePipeline loaded;
-  ASSERT_TRUE(loaded.Load(dir).ok());
+  ASSERT_TRUE(loaded.LoadBundle(path).ok());
   EXPECT_TRUE(loaded.trained());
 
   // Decisions from the loaded pipeline must be identical.
@@ -174,17 +182,20 @@ TEST_F(CorePersistenceTest, PipelineSaveLoadRoundTrip) {
     EXPECT_EQ(a->cut.cut.before_cut, b->cut.cut.before_cut);
     EXPECT_DOUBLE_EQ(a->cut.objective, b->cut.objective);
   }
-  std::filesystem::remove_all(dir);
+  std::filesystem::remove(path);
 }
 
 TEST_F(CorePersistenceTest, SaveUntrainedFails) {
   core::PhoebePipeline fresh;
-  EXPECT_FALSE(fresh.Save("/tmp/phoebe_should_not_exist").ok());
+  const std::string path = TestTempPath("untrained.phoebe");
+  EXPECT_FALSE(fresh.SaveBundle(path).ok());
+  EXPECT_FALSE(std::filesystem::exists(path));
 }
 
 TEST_F(CorePersistenceTest, LoadFromMissingDirFails) {
   core::PhoebePipeline fresh;
-  EXPECT_FALSE(fresh.Load("/tmp/phoebe_definitely_missing_dir").ok());
+  EXPECT_FALSE(fresh.LoadBundle(TestTempPath("missing_dir") + "/model.phoebe").ok());
+  EXPECT_FALSE(fresh.trained());
 }
 
 }  // namespace

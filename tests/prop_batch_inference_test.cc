@@ -1,16 +1,23 @@
-// Batched-inference property suite, pinning the two contracts the inference
-// engine rests on:
-//   1. Regressor::PredictBatch is *bit-equal* to the row-wise scalar Predict
-//      for every learner (flattened-forest GBDT, blocked MLP, ridge via the
-//      base-class row loop), across randomized fitted models and matrices —
-//      including the 0-row and 1-row edges. This is what lets batching
-//      default on without changing a single test output.
-//   2. The fleet template cache at zero drift tolerance (quantize_bps = 0)
+// Batched-inference property suite, pinning the contracts the one scoring
+// path rests on:
+//   1. Regressor::PredictRowsInto (and PredictBatch on top of it) is
+//      *bit-equal* to the row-wise Predict for every learner
+//      (flattened-forest GBDT, blocked MLP, ridge via the base-class row
+//      loop), across randomized fitted models and matrices — including the
+//      0-row and 1-row edges.
+//   2. ScoreByStageType routes each stage to its stage type's model or the
+//      general fallback, and StageCostPredictor::PredictJob equals the
+//      per-stage PredictStage reference bit for bit for every model kind.
+//   3. The fleet template cache at zero drift tolerance (quantize_bps = 0)
 //      is byte-neutral: a cached RunDay produces the exact FleetDayReport of
 //      an uncached one, for any thread count, because an exact-mode key
 //      match proves the replayed decision equals the recomputed one.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <map>
+#include <optional>
 #include <vector>
 
 #include "common/rng.h"
@@ -61,8 +68,9 @@ ml::FeatureMatrix RandomMatrix(size_t rows, size_t cols, uint64_t seed) {
   return m;
 }
 
-/// The contract itself: PredictBatch(x)[i] == Predict(x.Row(i)), bit for bit,
-/// including the 0-row and 1-row edges carved off the same matrix.
+/// The contract itself: PredictBatch(x)[i] — PredictRowsInto over every row
+/// — equals Predict(x.Row(i)), bit for bit, including the 0-row and 1-row
+/// edges carved off the same matrix.
 void ExpectBatchBitEqual(const ml::Regressor& model, const ml::FeatureMatrix& x) {
   std::vector<double> batch = model.PredictBatch(x);
   ASSERT_EQ(batch.size(), x.num_rows());
@@ -140,12 +148,86 @@ TEST(PropBatchInferenceTest, MlpBatchMatchesScalarAcrossRandomModels) {
 
 TEST(PropBatchInferenceTest, RidgeBatchMatchesScalar) {
   // Ridge uses the Regressor base-class row loop — trivially equal, but the
-  // test pins that the virtual dispatch path stays wired for every learner.
+  // test pins that the base kernel stays wired for every learner.
   ml::RidgeRegressor model;
   ASSERT_TRUE(model.Fit(RandomDataset(120, 3, 7)).ok());
   for (size_t rows : {size_t{0}, size_t{1}, size_t{50}}) {
     ExpectBatchBitEqual(model, RandomMatrix(rows, 3, rows + 8));
   }
+}
+
+// ---------------------------------------------------------------------------
+// ScoreByStageType: the one stage router both cost stacks share.
+// ---------------------------------------------------------------------------
+
+class ScoreByStageTypeTest : public ::testing::Test {
+ protected:
+  static constexpr size_t kCols = 3;
+
+  void SetUp() override {
+    // Per-type models for stage types 1 and 3 only; anything else falls back
+    // to the general model.
+    for (int type : {1, 3}) {
+      ml::GbdtParams p;
+      p.num_trees = 5;
+      p.min_data_in_leaf = 5;
+      p.seed = 40 + static_cast<uint64_t>(type);
+      ml::GbdtRegressor m(p);
+      ASSERT_TRUE(m.Fit(RandomDataset(80, kCols, p.seed)).ok());
+      per_type_.emplace(type, std::move(m));
+    }
+    ASSERT_TRUE(general_.Fit(RandomDataset(80, kCols, 49)).ok());
+  }
+
+  /// Routes a job of the given stage types and checks every score against
+  /// the per-row reference; returns the groups `scale` was called for.
+  std::vector<std::optional<int>> Route(const std::vector<int>& types) {
+    dag::JobGraph graph;
+    for (int type : types) {
+      dag::Stage stage;
+      stage.stage_type = type;
+      graph.AddStage(stage);
+    }
+    const ml::FeatureMatrix x = RandomMatrix(types.size(), kCols, 7 + types.size());
+    std::vector<std::optional<int>> groups;
+    auto scale = [&](std::optional<int> type) {
+      groups.push_back(type);
+      return type ? 1.0 + *type / 8.0 : 0.5;
+    };
+    std::vector<double> out;
+    core::ScoreByStageType(graph, x, per_type_, general_, scale, &scratch_, &out);
+    EXPECT_EQ(out.size(), types.size());
+    for (size_t s = 0; s < types.size() && s < out.size(); ++s) {
+      auto it = per_type_.find(types[s]);
+      const ml::Regressor& model =
+          it != per_type_.end() ? static_cast<const ml::Regressor&>(it->second) : general_;
+      const double want = std::max(0.0, std::expm1(model.Predict(x.Row(s)))) *
+                          (it != per_type_.end() ? 1.0 + types[s] / 8.0 : 0.5);
+      EXPECT_EQ(out[s], want) << "stage " << s << " (type " << types[s] << ")";
+    }
+    return groups;
+  }
+
+  std::map<int, ml::GbdtRegressor> per_type_;
+  ml::RidgeRegressor general_;
+  core::PredictScratch scratch_;  // reused across Route calls, as in serving
+};
+
+TEST_F(ScoreByStageTypeTest, UnmodelledTypeFallsBackToGeneral) {
+  // Types 1 and 3 have models, 7 does not: groups run in ascending type,
+  // the general model's last, each scaled exactly once.
+  EXPECT_EQ(Route({3, 1, 7, 1, 3}),
+            (std::vector<std::optional<int>>{1, 3, std::nullopt}));
+}
+
+TEST_F(ScoreByStageTypeTest, SingleTypeJobUsesOnlyItsModel) {
+  EXPECT_EQ(Route({3, 3, 3, 3}), (std::vector<std::optional<int>>{3}));
+  EXPECT_EQ(Route({7, 7}), (std::vector<std::optional<int>>{std::nullopt}));
+}
+
+TEST_F(ScoreByStageTypeTest, SingleStageJob) {
+  EXPECT_EQ(Route({1}), (std::vector<std::optional<int>>{1}));
+  EXPECT_EQ(Route({5}), (std::vector<std::optional<int>>{std::nullopt}));
 }
 
 // ---------------------------------------------------------------------------
@@ -283,13 +365,41 @@ TEST_F(BatchCacheFleetFixture, CachedDayIsThreadCountInvariant) {
   }
 }
 
-TEST_F(BatchCacheFleetFixture, ScalarInferenceMatchesBatchedByteForByte) {
-  core::FleetConfig cfg;
-  core::FleetDayReport batched = Run(cfg);
-  pipeline_->set_batch_inference(false);
-  core::FleetDayReport scalar = Run(cfg);
-  pipeline_->set_batch_inference(true);
-  ExpectIdentical(batched, scalar);
+TEST_F(BatchCacheFleetFixture, PredictJobMatchesPredictStageForEveryKind) {
+  // The one scoring path (featurize the job, ScoreByStageType, one
+  // PredictRowsInto per serving model) against the per-stage reference
+  // (featurize one row, route, Predict), bit for bit, for every stage of a
+  // held-out day, both targets, and every model kind.
+  const std::vector<workload::JobInstance>& day = repo_->Day(3);
+  const telemetry::HistoricStats stats = repo_->StatsBefore(3);
+  for (core::ModelKind kind : {core::ModelKind::kGbdtPerStageType,
+                               core::ModelKind::kGbdtGeneral,
+                               core::ModelKind::kMlpGeneral}) {
+    SCOPED_TRACE(static_cast<int>(kind));
+    core::PipelineConfig cfg = core::PhoebePipeline::DefaultConfig();
+    cfg.exec_predictor.kind = kind;
+    cfg.exec_predictor.gbdt.num_trees = 12;
+    cfg.exec_predictor.mlp.hidden = {8};
+    cfg.exec_predictor.min_samples_per_type = 30;
+    cfg.size_predictor = cfg.exec_predictor;
+    cfg.ttl.gbdt.num_trees = 12;
+    core::PhoebePipeline p(cfg);
+    p.Train(*repo_, 0, 3).Check();
+    if (kind == core::ModelKind::kGbdtPerStageType) {
+      ASSERT_GT(p.exec_predictor().num_type_models(), 0u);
+    }
+    for (const core::StageCostPredictor* pred :
+         {&p.exec_predictor(), &p.size_predictor()}) {
+      for (const workload::JobInstance& job : day) {
+        std::vector<double> batch = pred->PredictJob(job, stats);
+        ASSERT_EQ(batch.size(), job.graph.num_stages());
+        for (size_t s = 0; s < batch.size(); ++s) {
+          ASSERT_EQ(batch[s], pred->PredictStage(job, static_cast<int>(s), stats))
+              << "job " << job.job_id << " stage " << s;
+        }
+      }
+    }
+  }
 }
 
 TEST_F(BatchCacheFleetFixture, TinyCapacityEvictsDeterministically) {

@@ -1,7 +1,7 @@
 // Persistence property suite: every persistable artifact must round-trip
 // Save -> Load -> predict bit-equal, on randomized models and workloads —
 // ML regressors (ridge / GBDT / MLP), historic statistics, the stage cost
-// predictors and TTL estimator, whole-pipeline Save/Load, and the graph /
+// predictors and TTL estimator, the whole-pipeline bundle, and the graph /
 // trace text formats.
 #include <gtest/gtest.h>
 
@@ -184,13 +184,14 @@ TEST_F(PipelinePersistenceProperty, PredictorsSerializeToAFixpoint) {
 }
 
 TEST_F(PipelinePersistenceProperty, LoadedPipelinePredictsBitEqualOnUnseenDays) {
-  std::string dir =
-      (std::filesystem::temp_directory_path() / "phoebe_prop_persist").string();
-  std::filesystem::remove_all(dir);
-  ASSERT_TRUE(pipeline_->Save(dir).ok());
+  const std::string path =
+      (std::filesystem::path(::testing::TempDir()) /
+       "PipelinePersistenceProperty.LoadedPipelinePredictsBitEqualOnUnseenDays.phoebe")
+          .string();
+  ASSERT_TRUE(pipeline_->SaveBundle(path).ok());
   core::PhoebePipeline loaded;
-  ASSERT_TRUE(loaded.Load(dir).ok());
-  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(loaded.LoadBundle(path).ok());
+  std::filesystem::remove(path);
 
   // Probe on a day neither pipeline ever saw: predictions, costs, and
   // decisions must be bit-identical for every cost source.

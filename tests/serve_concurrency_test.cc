@@ -10,6 +10,7 @@
 //   * pipelined frames on one connection all come back, ids intact, even
 //     when workers complete them out of order.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <filesystem>
@@ -46,8 +47,12 @@ class ServeConcurrencyTest : public ::testing::Test {
     core::PhoebePipeline pipeline(cfg);
     pipeline.Train(repo, 0, 3).Check();
 
+    // One file per test process: ctest runs each case as its own process,
+    // and a shared path lets one case's teardown delete the file another
+    // case is about to load.
     bundle_path_ = new std::string(
-        (std::filesystem::temp_directory_path() / "phoebe_serve_conc.bundle")
+        (std::filesystem::temp_directory_path() /
+         ("phoebe_serve_conc_" + std::to_string(::getpid()) + ".bundle"))
             .string());
     pipeline.SaveBundle(*bundle_path_).Check();
     auto loaded = core::PipelineBundle::LoadFromFile(*bundle_path_);

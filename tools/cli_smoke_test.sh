@@ -116,14 +116,14 @@ expect_exit 0 "fleet multi-cut budgeted" -- \
   "$CLI" fleet "${SMALL[@]}" --train-days 2 --num-cuts 2 --budget-gb 50 --threads 2
 expect_stdout_contains "fleet multi-cut budgeted" "knapsack threshold"
 
-# fleet inference knobs: --no-batch (scalar scoring) must reproduce the
-# batched report exactly, and an exact-mode template cache (--cache-bps 0)
-# must be byte-neutral while reporting its hit/miss traffic.
-expect_exit 0 "fleet no-batch" -- \
-  "$CLI" fleet "${SMALL[@]}" --train-days 2 --no-batch
-if ! diff -q "$WORKDIR/fleet_serial.out" "$WORKDIR/stdout" >/dev/null; then
-  fail "fleet: --no-batch report differs from batched report"
-fi
+# Retired surface: the scoring switch flags and the model-directory command
+# are gone, so each is a usage error.
+expect_exit 2 "fleet --batch (removed)" -- "$CLI" fleet "${SMALL[@]}" --batch
+expect_exit 2 "fleet --no-batch (removed)" -- "$CLI" fleet "${SMALL[@]}" --no-batch
+expect_exit 2 "save-models (removed)" -- "$CLI" save-models "${SMALL[@]}"
+
+# An exact-mode template cache (--cache-bps 0) must be byte-neutral while
+# reporting its hit/miss traffic.
 expect_exit 0 "fleet template-cache" -- \
   "$CLI" fleet "${SMALL[@]}" --train-days 2 --template-cache 1024 --cache-bps 0
 expect_stdout_contains "fleet template-cache" "cache hits/misses"
