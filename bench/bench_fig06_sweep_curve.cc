@@ -28,7 +28,8 @@ int main() {
     }
   }
   PHOEBE_CHECK(job != nullptr);
-  auto costs = env.phoebe->BuildCosts(*job, core::CostSource::kTruth);
+  auto costs = env.phoebe->engine().BuildCosts(*job, core::CostSource::kTruth,
+                                               env.phoebe->inference_stats());
   costs.status().Check();
 
   auto sweep = core::TempStorageSweep(job->graph, *costs);

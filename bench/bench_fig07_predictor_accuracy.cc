@@ -26,8 +26,9 @@ int main() {
   for (const auto& job : jobs) {
     auto exec = env.phoebe->exec_predictor().PredictJob(job, stats);
     auto out = env.phoebe->size_predictor().PredictJob(job, stats);
-    auto costs_stacked = env.phoebe->BuildCosts(job, core::CostSource::kMlStacked, stats);
-    auto costs_raw = env.phoebe->BuildCosts(job, core::CostSource::kMlSimulator, stats);
+    const core::DecisionEngine& engine = env.phoebe->engine();
+    auto costs_stacked = engine.BuildCosts(job, core::CostSource::kMlStacked, stats);
+    auto costs_raw = engine.BuildCosts(job, core::CostSource::kMlSimulator, stats);
     costs_stacked.status().Check();
     costs_raw.status().Check();
     for (size_t i = 0; i < job.graph.num_stages(); ++i) {

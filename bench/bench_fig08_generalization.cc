@@ -27,7 +27,8 @@ int main() {
     for (const auto& job : jobs) {
       auto exec = env.phoebe->exec_predictor().PredictJob(job, stats);
       auto out = env.phoebe->size_predictor().PredictJob(job, stats);
-      auto costs = env.phoebe->BuildCosts(job, core::CostSource::kMlStacked, stats);
+      auto costs =
+          env.phoebe->engine().BuildCosts(job, core::CostSource::kMlStacked, stats);
       costs.status().Check();
       for (size_t i = 0; i < job.graph.num_stages(); ++i) {
         et.push_back(job.truth[i].exec_seconds);

@@ -34,7 +34,8 @@ int main() {
         if (job.graph.num_stages() < 4) continue;
         double total_gbh = job.TempByteSeconds() / 1e9 / 3600.0;
         if ((total_gbh > kSizeCutGbh) != (large == 1)) continue;
-        auto costs = env.phoebe->BuildCosts(job, core::CostSource::kTruth);
+        auto costs = env.phoebe->engine().BuildCosts(job, core::CostSource::kTruth,
+                                                     env.phoebe->inference_stats());
         costs.status().Check();
         auto result = core::OptimizeTempStorageMultiCut(job.graph, *costs, cuts);
         result.status().Check();

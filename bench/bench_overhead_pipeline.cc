@@ -1,8 +1,10 @@
 // Section 6.4 overheads: per-job compile-time cost of Phoebe. Paper: metadata
 // and model lookup ~15 ms, scoring + optimization ~1.09 s, against several
 // minutes of end-to-end job compilation. This repo's in-process substrate has
-// no service round-trips, so absolute numbers are far smaller; the breakdown
-// (scoring dominates lookup and optimization) is the shape to compare.
+// no service round-trips (the stats a decision reads are looked up inside
+// featurization), so absolute numbers are far smaller; the split to compare
+// is BM_ScoreOnly (featurize, inference, simulation, TTL stacking) against
+// BM_OptimizeOnly (the cut search on prebuilt costs).
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -29,27 +31,22 @@ const workload::JobInstance* BigJob() {
 void BM_DecideTempStorage(benchmark::State& state) {
   auto* env = Env();
   const auto* job = BigJob();
-  double lookup = 0, scoring = 0, optimize = 0;
+  const core::DecisionEngine& engine = env->phoebe->engine();
   for (auto _ : state) {
-    auto d = env->phoebe->Decide(*job, core::Objective::kTempStorage);
+    auto d = engine.DecideJob(*job, engine.inference_stats(), {});
     d.status().Check();
-    lookup += d->lookup_seconds;
-    scoring += d->scoring_seconds;
-    optimize += d->optimize_seconds;
     benchmark::DoNotOptimize(d);
   }
-  double n = static_cast<double>(state.iterations());
-  state.counters["lookup_ms"] = 1e3 * lookup / n;
-  state.counters["scoring_ms"] = 1e3 * scoring / n;
-  state.counters["optimize_ms"] = 1e3 * optimize / n;
   state.counters["stages"] = static_cast<double>(job->graph.num_stages());
 }
 
 void BM_DecideRecovery(benchmark::State& state) {
   auto* env = Env();
   const auto* job = BigJob();
+  const core::DecisionEngine& engine = env->phoebe->engine();
   for (auto _ : state) {
-    auto d = env->phoebe->Decide(*job, core::Objective::kRecovery);
+    auto d = engine.DecideJob(*job, engine.inference_stats(),
+                              {core::Objective::kRecovery});
     d.status().Check();
     benchmark::DoNotOptimize(d);
   }
@@ -58,10 +55,27 @@ void BM_DecideRecovery(benchmark::State& state) {
 void BM_ScoreOnly(benchmark::State& state) {
   auto* env = Env();
   const auto* job = BigJob();
+  const core::DecisionEngine& engine = env->phoebe->engine();
   for (auto _ : state) {
-    auto costs = env->phoebe->BuildCosts(*job, core::CostSource::kMlStacked);
+    auto costs = engine.BuildCosts(*job, core::CostSource::kMlStacked,
+                                   engine.inference_stats());
     costs.status().Check();
     benchmark::DoNotOptimize(costs);
+  }
+}
+
+void BM_OptimizeOnly(benchmark::State& state) {
+  auto* env = Env();
+  const auto* job = BigJob();
+  const core::DecisionEngine& engine = env->phoebe->engine();
+  auto costs = engine.BuildCosts(*job, core::CostSource::kMlStacked,
+                                 engine.inference_stats());
+  costs.status().Check();
+  core::CheckpointScratch scratch;
+  core::CutResult cut;
+  for (auto _ : state) {
+    core::OptimizeTempStorageInto(job->graph, *costs, &scratch, &cut).Check();
+    benchmark::DoNotOptimize(cut);
   }
 }
 
@@ -79,6 +93,7 @@ void BM_TrainPipeline(benchmark::State& state) {
 BENCHMARK(BM_DecideTempStorage)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_DecideRecovery)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ScoreOnly)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_OptimizeOnly)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_TrainPipeline)->Unit(benchmark::kMillisecond)->Iterations(2);
 
 BENCHMARK_MAIN();

@@ -13,7 +13,7 @@
 // --metrics-out writes the server-side telemetry JSONL (queue depth,
 // batch-size histogram, request latency) from the instrumented runs.
 //
-// Usage: bench_serve_latency [--requests N] [--max-batch B] [--no-coalesce]
+// Usage: bench_serve_latency [--requests N] [--max-batch B]
 //                            [--metrics-out FILE]
 #include <algorithm>
 #include <atomic>
@@ -51,13 +51,6 @@ const char* ArgStr(int argc, char** argv, const char* flag, const char* fallback
     if (std::strcmp(argv[i], flag) == 0) return argv[i + 1];
   }
   return fallback;
-}
-
-bool ArgFlag(int argc, char** argv, const char* flag) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return true;
-  }
-  return false;
 }
 
 /// Nearest-rank percentile over a sorted latency vector (seconds).
@@ -162,7 +155,6 @@ SeriesResult RunSeries(serve::ServeServer& server,
 int Run(int argc, char** argv) {
   const int requests_per_thread = ArgInt(argc, argv, "--requests", 400);
   const int max_batch = ArgInt(argc, argv, "--max-batch", 16);
-  const bool coalesce = !ArgFlag(argc, argv, "--no-coalesce");
   const std::string metrics_out = ArgStr(argc, argv, "--metrics-out", "");
 
   std::fprintf(stderr, "training pipeline...\n");
@@ -191,7 +183,6 @@ int Run(int argc, char** argv) {
     serve::ServeConfig cfg;
     cfg.num_workers = threads;
     cfg.max_batch = max_batch;
-    cfg.coalesce = coalesce;
     cfg.bundle_path = bundle_path;
     cfg.metrics = registry.get();
     serve::ServeServer server(*bundle, cfg);
@@ -212,7 +203,6 @@ int Run(int argc, char** argv) {
     serve::ServeConfig cfg;
     cfg.num_workers = thread_counts.back();
     cfg.max_batch = max_batch;
-    cfg.coalesce = coalesce;
     cfg.bundle_path = bundle_path;
     cfg.metrics = registry.get();
     serve::ServeServer server(*bundle, cfg);
@@ -243,7 +233,6 @@ int Run(int argc, char** argv) {
   json.KV("bench", "serve_latency");
   json.KV("requests_per_thread", requests_per_thread);
   json.KV("max_batch", max_batch);
-  json.KV("coalesce", coalesce);
   json.KV("hardware_concurrency", ThreadPool::Resolve(0));
   json.Key("series").BeginArray();
   for (const SeriesResult& r : series) {

@@ -81,12 +81,13 @@ int main(int argc, char** argv) {
   int checkpointed = 0;
   for (const auto& job : serve_jobs) {
     if (job.graph.num_stages() < 2) continue;
-    auto decision = deployed.Decide(job, core::Objective::kTempStorage);
+    auto decision = deployed.engine().DecideJob(job, deployed.inference_stats(),
+                                                {core::Objective::kTempStorage});
     decision.status().Check();
     total += job.TempByteSeconds();
-    if (!decision->cut.cut.empty()) {
+    if (!decision->combined.cut.empty()) {
       ++checkpointed;
-      saving += core::RealizedTempSaving(job, decision->cut.cut) *
+      saving += core::RealizedTempSaving(job, decision->combined.cut) *
                 job.TempByteSeconds();
     }
   }

@@ -6,6 +6,7 @@
 // Walks the full Figure-4 loop: telemetry accumulates in the workload
 // repository -> the three predictors train -> a new job is scored, its
 // schedule simulated, its TTL stacked, and the optimizer picks the cut.
+#include <chrono>
 #include <cstdio>
 
 #include "common/stats.h"
@@ -45,7 +46,8 @@ int main() {
   const auto& test_jobs = repo.Day(5);
   std::vector<double> exec_true, exec_pred, out_true, out_pred, ttl_true, ttl_pred;
   for (const auto& job : test_jobs) {
-    auto costs = phoebe.BuildCosts(job, core::CostSource::kMlStacked);
+    auto costs = phoebe.engine().BuildCosts(job, core::CostSource::kMlStacked,
+                                            phoebe.inference_stats());
     costs.status().Check();
     for (size_t i = 0; i < job.graph.num_stages(); ++i) {
       exec_true.push_back(job.truth[i].exec_seconds);
@@ -67,14 +69,15 @@ int main() {
   for (const auto& job : test_jobs) {
     if (!big || job.graph.num_stages() > big->graph.num_stages()) big = &job;
   }
-  auto decision = phoebe.Decide(*big, core::Objective::kTempStorage);
+  const auto start = std::chrono::steady_clock::now();
+  auto decision = phoebe.engine().DecideJob(*big, phoebe.inference_stats(),
+                                            {core::Objective::kTempStorage});
+  const std::chrono::duration<double> latency = std::chrono::steady_clock::now() - start;
   decision.status().Check();
-  const auto& cut = decision->cut;
+  const auto& cut = decision->combined;
   std::printf("\njob '%s': %zu stages, runtime %s\n", big->job_name.c_str(),
               big->graph.num_stages(), HumanDuration(big->JobRuntime()).c_str());
-  std::printf("  decision latency: lookup %.1f ms, scoring %.1f ms, optimize %.2f ms\n",
-              1e3 * decision->lookup_seconds, 1e3 * decision->scoring_seconds,
-              1e3 * decision->optimize_seconds);
+  std::printf("  decision latency: %.1f ms\n", 1e3 * latency.count());
   size_t before = 0;
   for (bool b : cut.cut.before_cut) before += b ? 1 : 0;
   std::printf("  cut: %zu stages before, global storage %s, realized temp saving %.1f%%\n",

@@ -23,14 +23,6 @@
 
 namespace phoebe::core {
 
-/// \brief A compile-time checkpoint decision with overhead breakdown (§6.4).
-struct PipelineDecision {
-  CutResult cut;
-  double lookup_seconds = 0.0;    ///< metadata/model lookup
-  double scoring_seconds = 0.0;   ///< ML scoring + schedule simulation
-  double optimize_seconds = 0.0;  ///< cut search
-};
-
 /// \brief One job's full decision: the combined (reported) cut plus the
 /// nested cut sets in physical, innermost-first order. This is the value the
 /// fleet template cache stores and the shard protocol serializes.
@@ -52,7 +44,7 @@ struct DecideOptions {
 /// buffer a decision needs — stage costs, exec estimates, the simulated
 /// schedule, three featurize→predict streams (exec, size, TTL), and the
 /// optimizer tables — so once warm (sized by the widest job seen), a
-/// steady-state DecideJobInto/DecideInto performs zero heap allocations.
+/// steady-state DecideJobInto performs zero heap allocations.
 /// Never share one arena between concurrent calls; results are bit-identical
 /// regardless of which arena (or how warm an arena) served a job.
 struct DecideScratch {
@@ -93,13 +85,11 @@ class DecisionEngine {
   double delta() const { return bundle_->delta(); }
   const telemetry::HistoricStats& inference_stats() const { return bundle_->stats(); }
 
-  /// Build the optimizer inputs for one job under a cost source, using only
-  /// compile-time information (plus truth for the kTruth oracle). Sets
+  /// Build the optimizer inputs for one job under a cost source and a
+  /// historic-stats view (inference_stats() for the bundle's own), using
+  /// only compile-time information (plus truth for the kTruth oracle). Sets
   /// StageCosts::job_end so the optimizers price the final clear: the true
   /// job end for kTruth, the simulated schedule end otherwise.
-  Result<StageCosts> BuildCosts(const workload::JobInstance& job,
-                                CostSource source) const;
-  /// Same, with an explicit historic-stats view (e.g. for later days).
   Result<StageCosts> BuildCosts(const workload::JobInstance& job, CostSource source,
                                 const telemetry::HistoricStats& stats) const;
 
@@ -110,17 +100,7 @@ class DecisionEngine {
                         const telemetry::HistoricStats& stats, DecideScratch* scratch,
                         StageCosts* out) const;
 
-  /// Full compile-time decision for one job, with timing breakdown.
-  Result<PipelineDecision> Decide(const workload::JobInstance& job, Objective objective,
-                                  CostSource source = CostSource::kMlStacked) const;
-
-  /// Decide onto a scratch arena; `*out` is fully overwritten. Bit-identical
-  /// to Decide (timing fields aside, which measure wall time either way).
-  Status DecideInto(const workload::JobInstance& job, Objective objective,
-                    CostSource source, DecideScratch* scratch,
-                    PipelineDecision* out) const;
-
-  /// Per-job fleet decision under an explicit context: BuildCosts + the
+  /// The full compile-time decision for one job (Figure 4): BuildCosts + the
   /// objective's optimizer, including the multi-cut physical semantics (the
   /// DP-total objective; global bytes as the union of checkpoint stages —
   /// a stage persists its output once even if edges cross several cuts).
@@ -132,9 +112,12 @@ class DecisionEngine {
 
   /// DecideJob onto a scratch arena; `*out` is fully overwritten and its cut
   /// bitsets are recycled in place (vector<bool> assignment reuses capacity).
-  /// Bit-identical to DecideJob. With a warm arena a steady-state single-cut
-  /// decision performs zero heap allocations; the multi-cut path still
-  /// allocates only inside the returned nested cut sets on first growth.
+  /// Bit-identical to DecideJob. This is the one place (job, stats,
+  /// objective, cost source) becomes an optimizer cut: the fleet day loop,
+  /// the serve workers and the back-tester all decide through it. With a
+  /// warm arena a steady-state single-cut decision performs zero heap
+  /// allocations; the multi-cut path still allocates only inside the
+  /// returned nested cut sets on first growth.
   Status DecideJobInto(const workload::JobInstance& job,
                        const telemetry::HistoricStats& stats,
                        const DecideOptions& options, DecideScratch* scratch,

@@ -9,8 +9,9 @@ namespace phoebe::core {
 
 namespace {
 
-/// Cost source of a deterministic approach (shared by BackTester and the
-/// arm-based evaluator; kRandom also maps here for the member ChooseCut).
+/// Cost source of an approach. The baselines position their cut on the
+/// simulated schedule with ML exec inputs (the schedule source does not
+/// matter for Random).
 CostSource ApproachSource(Approach approach) {
   switch (approach) {
     case Approach::kOptimal: return CostSource::kTruth;
@@ -20,11 +21,42 @@ CostSource ApproachSource(Approach approach) {
     case Approach::kMlStacked: return CostSource::kMlStacked;
     case Approach::kRandom:
     case Approach::kMidPoint:
-      // Baselines position the cut on the simulated schedule with ML exec
-      // inputs (the schedule source does not matter for Random).
       return CostSource::kMlSimulator;
   }
   return CostSource::kMlSimulator;
+}
+
+/// The one cut chooser behind ChooseCut, Evaluate and EvaluateApproachArms.
+/// The optimizer approaches decide through DecisionEngine::DecideJobInto
+/// (single cut, the approach's cost source); the Random and Mid-Point
+/// baselines place their cut on BuildCostsInto's costs. The chosen cut is
+/// `out->combined`; `*out` is otherwise scratch.
+Status ChooseCutInto(const DecisionEngine& engine, const workload::JobInstance& job,
+                     Approach approach, Objective objective,
+                     const telemetry::HistoricStats& stats, Rng* rng,
+                     DecideScratch* scratch, FleetDecision* out) {
+  const CostSource source = ApproachSource(approach);
+  if (approach != Approach::kRandom && approach != Approach::kMidPoint) {
+    return engine.DecideJobInto(job, stats, DecideOptions{objective, source},
+                                scratch, out);
+  }
+  PHOEBE_RETURN_NOT_OK(
+      engine.BuildCostsInto(job, source, stats, scratch, &scratch->costs));
+  PHOEBE_ASSIGN_OR_RETURN(out->combined,
+                          approach == Approach::kRandom
+                              ? RandomCut(job.graph, scratch->costs, rng)
+                              : MidPointCut(job.graph, scratch->costs));
+  return Status::OK();
+}
+
+/// Realized saving fraction of `cut` on `job`: with the job's failure model
+/// (the recovery objective) the paper's §5.3 metric — expected P_F * T-bar
+/// under the true schedule, relative to the expected uncheckpointed loss —
+/// and RealizedTempSaving otherwise.
+double RealizedSaving(const workload::JobInstance& job, const cluster::CutSet& cut,
+                      const cluster::FailureModel* failure) {
+  return failure != nullptr ? failure->RestartSavingFraction(cut)
+                            : RealizedTempSaving(job, cut);
 }
 
 }  // namespace
@@ -96,82 +128,28 @@ BackTester::BackTester(const DecisionEngine* engine, double mtbf_seconds,
   PHOEBE_CHECK(mtbf_seconds > 0.0);
 }
 
-CostSource BackTester::SourceFor(Approach approach) const {
-  return ApproachSource(approach);
-}
-
 Result<CutResult> BackTester::ChooseCut(const workload::JobInstance& job,
                                         Approach approach, Objective objective,
                                         const telemetry::HistoricStats& stats) {
-  PHOEBE_ASSIGN_OR_RETURN(StageCosts costs,
-                          engine_->BuildCosts(job, SourceFor(approach), stats));
-  switch (approach) {
-    case Approach::kRandom:
-      return RandomCut(job.graph, costs, &rng_);
-    case Approach::kMidPoint:
-      return MidPointCut(job.graph, costs);
-    default:
-      break;
-  }
-  if (objective == Objective::kTempStorage) {
-    return OptimizeTempStorage(job.graph, costs);
-  }
-  return OptimizeRecovery(job.graph, costs, engine_->delta());
+  PHOEBE_RETURN_NOT_OK(ChooseCutInto(*engine_, job, approach, objective, stats, &rng_,
+                                     &scratch_, &decision_));
+  return decision_.combined;
 }
 
-Result<std::map<Approach, RunningStats>> BackTester::EvaluateTempStorage(
+Result<std::map<Approach, RunningStats>> BackTester::Evaluate(
     const std::vector<workload::JobInstance>& jobs,
-    const telemetry::HistoricStats& stats, const std::vector<Approach>& approaches) {
+    const telemetry::HistoricStats& stats, Objective objective,
+    const std::vector<Approach>& approaches) {
   std::map<Approach, RunningStats> out;
   for (const workload::JobInstance& job : jobs) {
     if (job.graph.num_stages() < 2) continue;
+    std::optional<cluster::FailureModel> failure;
+    if (objective == Objective::kRecovery) failure.emplace(job, mtbf_seconds_);
     for (Approach a : approaches) {
-      PHOEBE_ASSIGN_OR_RETURN(CutResult cut,
-                              ChooseCut(job, a, Objective::kTempStorage, stats));
-      out[a].Add(RealizedTempSaving(job, cut.cut));
-    }
-  }
-  return out;
-}
-
-Result<std::map<Approach, RunningStats>> BackTester::EvaluateRecovery(
-    const std::vector<workload::JobInstance>& jobs,
-    const telemetry::HistoricStats& stats, const std::vector<Approach>& approaches) {
-  std::map<Approach, RunningStats> out;
-  for (const workload::JobInstance& job : jobs) {
-    if (job.graph.num_stages() < 2) continue;
-    cluster::FailureModel failure(job, mtbf_seconds_);
-    for (Approach a : approaches) {
-      PHOEBE_ASSIGN_OR_RETURN(CutResult cut,
-                              ChooseCut(job, a, Objective::kRecovery, stats));
-      // The paper's §5.3 metric: expected P_F * T-bar under the true
-      // schedule, relative to the expected uncheckpointed loss.
-      out[a].Add(failure.RestartSavingFraction(cut.cut));
-    }
-  }
-  return out;
-}
-
-Result<RunningStats> BackTester::EvaluateApproach(
-    const std::vector<workload::JobInstance>& jobs,
-    const telemetry::HistoricStats& stats, Approach approach, Objective objective) {
-  if (approach != Approach::kRandom) {
-    PHOEBE_ASSIGN_OR_RETURN(
-        std::vector<RunningStats> arms,
-        EvaluateApproachArms({engine_}, jobs, stats, approach, objective,
-                             mtbf_seconds_));
-    return arms.front();
-  }
-  // kRandom consumes this tester's rng stream; it cannot share an arm pass.
-  RunningStats out;
-  for (const workload::JobInstance& job : jobs) {
-    if (job.graph.num_stages() < 2) continue;
-    PHOEBE_ASSIGN_OR_RETURN(CutResult cut, ChooseCut(job, approach, objective, stats));
-    if (objective == Objective::kTempStorage) {
-      out.Add(RealizedTempSaving(job, cut.cut));
-    } else {
-      cluster::FailureModel failure(job, mtbf_seconds_);
-      out.Add(failure.RestartSavingFraction(cut.cut));
+      PHOEBE_RETURN_NOT_OK(ChooseCutInto(*engine_, job, a, objective, stats, &rng_,
+                                         &scratch_, &decision_));
+      out[a].Add(RealizedSaving(job, decision_.combined.cut,
+                                failure ? &*failure : nullptr));
     }
   }
   return out;
@@ -189,39 +167,25 @@ Result<std::vector<RunningStats>> EvaluateApproachArms(
   if (approach == Approach::kRandom) {
     return Status::InvalidArgument(
         "Approach::kRandom needs a per-tester rng stream; use "
-        "BackTester::EvaluateApproach");
+        "BackTester::Evaluate");
   }
   if (mtbf_seconds <= 0.0) {
     return Status::InvalidArgument("mtbf_seconds must be > 0");
   }
   std::vector<RunningStats> out(engines.size());
+  DecideScratch scratch;
+  FleetDecision decision;
   for (const workload::JobInstance& job : jobs) {
     if (job.graph.num_stages() < 2) continue;
     // Job-level work shared across arms: the eligibility check above and,
     // for recovery, the failure model over the true schedule.
     std::optional<cluster::FailureModel> failure;
-    if (objective != Objective::kTempStorage) {
-      failure.emplace(job, mtbf_seconds);
-    }
+    if (objective == Objective::kRecovery) failure.emplace(job, mtbf_seconds);
     for (size_t k = 0; k < engines.size(); ++k) {
-      const DecisionEngine* engine = engines[k];
-      PHOEBE_ASSIGN_OR_RETURN(
-          StageCosts costs,
-          engine->BuildCosts(job, ApproachSource(approach), stats));
-      CutResult cut;
-      if (approach == Approach::kMidPoint) {
-        PHOEBE_ASSIGN_OR_RETURN(cut, MidPointCut(job.graph, costs));
-      } else if (objective == Objective::kTempStorage) {
-        PHOEBE_ASSIGN_OR_RETURN(cut, OptimizeTempStorage(job.graph, costs));
-      } else {
-        PHOEBE_ASSIGN_OR_RETURN(cut,
-                                OptimizeRecovery(job.graph, costs, engine->delta()));
-      }
-      if (objective == Objective::kTempStorage) {
-        out[k].Add(RealizedTempSaving(job, cut.cut));
-      } else {
-        out[k].Add(failure->RestartSavingFraction(cut.cut));
-      }
+      PHOEBE_RETURN_NOT_OK(ChooseCutInto(*engines[k], job, approach, objective, stats,
+                                         /*rng=*/nullptr, &scratch, &decision));
+      out[k].Add(RealizedSaving(job, decision.combined.cut,
+                                failure ? &*failure : nullptr));
     }
   }
   return out;

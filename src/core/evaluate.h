@@ -54,49 +54,33 @@ class BackTester {
                               Objective objective,
                               const telemetry::HistoricStats& stats);
 
-  /// Realized temp-saving fraction per approach over a set of jobs
-  /// (Figure 12: one call per day, aggregate across days outside).
-  Result<std::map<Approach, RunningStats>> EvaluateTempStorage(
+  /// Realized saving fraction per approach over a set of jobs (one call per
+  /// day; aggregate across days outside). Temp storage (Figure 12) is the
+  /// RealizedTempSaving of each cut; recovery (Figure 14) is evaluated
+  /// analytically under the true schedule and failure model.
+  Result<std::map<Approach, RunningStats>> Evaluate(
       const std::vector<workload::JobInstance>& jobs,
-      const telemetry::HistoricStats& stats,
+      const telemetry::HistoricStats& stats, Objective objective,
       const std::vector<Approach>& approaches = AllApproaches());
-
-  /// Realized recovery-time saving fraction per approach (Figure 14),
-  /// evaluated analytically under the true schedule and failure model.
-  Result<std::map<Approach, RunningStats>> EvaluateRecovery(
-      const std::vector<workload::JobInstance>& jobs,
-      const telemetry::HistoricStats& stats,
-      const std::vector<Approach>& approaches = AllApproaches());
-
-  /// Realized saving of ONE approach under either objective — the unit the
-  /// lifecycle loop's canary comparison aggregates over a trailing window.
-  /// Temp-storage savings come from RealizedTempSaving, recovery savings
-  /// from the failure model's RestartSavingFraction, exactly as the
-  /// per-approach sweeps above. Deterministic approaches delegate to
-  /// EvaluateApproachArms as the N=1 case.
-  Result<RunningStats> EvaluateApproach(
-      const std::vector<workload::JobInstance>& jobs,
-      const telemetry::HistoricStats& stats, Approach approach,
-      Objective objective);
 
  private:
-  CostSource SourceFor(Approach approach) const;
-
   const DecisionEngine* engine_;
   double mtbf_seconds_;
   Rng rng_;
+  DecideScratch scratch_;    ///< reused by every cut this tester chooses
+  FleetDecision decision_;   ///< ChooseCutInto staging
 };
 
 /// Realized saving of one deterministic approach under N engines in a single
-/// pass over the jobs — the arm-based form of BackTester::EvaluateApproach
-/// the lifecycle canary uses to cost incumbent and candidate against
-/// identical inputs. Per job, the eligibility check and (for the recovery
-/// objective) the FailureModel are computed once and shared by every arm, so
-/// an N-arm call does one generation pass instead of N. Entry k of the
-/// result aggregates engine k's realized savings; each entry is bit-exactly
-/// what a standalone EvaluateApproach under that engine returns.
-/// Approach::kRandom is rejected (its cut draws consume a per-tester rng
-/// stream that a shared pass cannot replay per arm).
+/// pass over the jobs — the arm-based back-test the lifecycle canary uses to
+/// cost incumbent and candidate against identical inputs. Per job, the
+/// eligibility check and (for the recovery objective) the FailureModel are
+/// computed once and shared by every arm, so an N-arm call does one
+/// generation pass instead of N. Entry k of the result aggregates engine k's
+/// realized savings; each entry is bit-exactly BackTester::Evaluate's entry
+/// for `approach` under that engine. Approach::kRandom is rejected (its cut
+/// draws consume a per-tester rng stream that a shared pass cannot replay
+/// per arm).
 Result<std::vector<RunningStats>> EvaluateApproachArms(
     const std::vector<const DecisionEngine*>& engines,
     const std::vector<workload::JobInstance>& jobs,

@@ -32,6 +32,11 @@ Status FleetConfig::Validate() const {
   if (num_cuts < 1) {
     return Status::InvalidArgument("num_cuts must be >= 1");
   }
+  if (num_cuts > 1 && objective == Objective::kRecovery) {
+    return Status::InvalidArgument(
+        "num_cuts > 1 applies to the temp-storage objective only; the recovery "
+        "objective places one cut");
+  }
   if (num_threads < 0) {
     return Status::InvalidArgument(
         "num_threads must be >= 0 (0 = hardware concurrency)");
@@ -66,13 +71,6 @@ DecisionArm::DecisionArm(const DecisionEngine* engine, FleetConfig config)
 
 namespace {
 
-/// Phase 1 of the day loop: decide every eligible job, in parallel when the
-/// config asks for it. Slot i is engaged iff job i has >= 2 stages. Slots are
-/// written by index, so the result is independent of scheduling order. Pure
-/// map over the jobs: the engine's bundle is immutable, so concurrent calls
-/// for distinct jobs are safe by construction (see DESIGN.md "Concurrency").
-/// `jobs_decided`/`worker_jobs` are the arm's (possibly null/empty)
-/// telemetry counters; per-worker attribution never touches the result slots.
 /// One decide-path arena per worker, heap-boxed so workers never share cache
 /// lines. ParallelForWorker hands each body invocation its worker id, which
 /// makes arena reuse race-free by construction; decisions are bit-identical
@@ -86,24 +84,39 @@ std::vector<std::unique_ptr<DecideScratch>> MakeWorkerArenas(int threads) {
   return arenas;
 }
 
-std::vector<std::optional<Result<FleetDecision>>> DecideAll(
-    const DecisionEngine& engine, const FleetConfig& config,
-    const std::vector<workload::JobInstance>& jobs,
-    const telemetry::HistoricStats& stats, obs::Counter* jobs_decided,
-    const std::vector<obs::Counter*>& worker_jobs) {
-  std::vector<std::optional<Result<FleetDecision>>> slots(jobs.size());
+/// needs[i] = 1 iff job i is eligible for a decision (>= 2 stages).
+std::vector<char> EligibleJobs(const std::vector<workload::JobInstance>& jobs) {
+  std::vector<char> needs(jobs.size());
+  for (size_t i = 0; i < jobs.size(); ++i) needs[i] = jobs[i].graph.num_stages() >= 2;
+  return needs;
+}
+
+/// Phase 1 of the day loop: decide job i into (*slots)[i] for every i with
+/// needs[i] set, in parallel when the config asks for it; other slots are
+/// left as they are. Slots are written by index, so the result is
+/// independent of scheduling order. Pure map over the jobs: the engine's
+/// bundle is immutable, so concurrent calls for distinct jobs are safe by
+/// construction (see DESIGN.md "Concurrency"). `jobs_decided`/`worker_jobs`
+/// are the arm's (possibly null/empty) telemetry counters; per-worker
+/// attribution never touches the result slots.
+void DecideAll(const DecisionEngine& engine, const FleetConfig& config,
+               const std::vector<workload::JobInstance>& jobs,
+               const telemetry::HistoricStats& stats, const std::vector<char>& needs,
+               obs::Counter* jobs_decided, const std::vector<obs::Counter*>& worker_jobs,
+               std::vector<std::optional<Result<FleetDecision>>>* slots) {
+  slots->resize(jobs.size());
   const DecideOptions options = config.decide_options();
   const int threads = ThreadPool::Resolve(config.num_threads);
   std::vector<std::unique_ptr<DecideScratch>> arenas = MakeWorkerArenas(threads);
   auto decide = [&](int worker, size_t i) {
-    if (jobs[i].graph.num_stages() < 2) return;
+    if (!needs[i]) return;
     FleetDecision d;
     Status st = engine.DecideJobInto(jobs[i], stats, options,
                                      arenas[static_cast<size_t>(worker)].get(), &d);
     if (st.ok()) {
-      slots[i].emplace(std::move(d));
+      (*slots)[i].emplace(std::move(d));
     } else {
-      slots[i].emplace(std::move(st));
+      (*slots)[i].emplace(std::move(st));
     }
     obs::Increment(jobs_decided);
     if (static_cast<size_t>(worker) < worker_jobs.size()) {
@@ -116,7 +129,6 @@ std::vector<std::optional<Result<FleetDecision>>> DecideAll(
     ThreadPool pool(threads);
     pool.ParallelForWorker(jobs.size(), decide);
   }
-  return slots;
 }
 
 }  // namespace
@@ -125,8 +137,9 @@ Status DecisionArm::Calibrate(const DayContext& history) {
   PHOEBE_RETURN_NOT_OK(config_status_);
   const std::vector<workload::JobInstance>& history_jobs = *history.jobs;
   calibration_.clear();
-  auto decisions = DecideAll(*engine_, config_, history_jobs, *history.stats,
-                             metrics_.jobs_decided, metrics_.worker_jobs);
+  std::vector<std::optional<Result<FleetDecision>>> decisions;
+  DecideAll(*engine_, config_, history_jobs, *history.stats, EligibleJobs(history_jobs),
+            metrics_.jobs_decided, metrics_.worker_jobs, &decisions);
   for (size_t i = 0; i < history_jobs.size(); ++i) {
     if (!decisions[i].has_value()) continue;  // < 2 stages
     const Result<FleetDecision>& d = *decisions[i];
@@ -150,8 +163,9 @@ Result<FleetDayDecisions> DecisionArm::DecideDay(const DayContext& ctx) const {
   // cache: a shard process has no cache state, and the merge's ReplayDay only
   // consumes the slots RunDay would have computed (leaders / all jobs), so
   // extra slots cost shard CPU but never change the merged report.
-  auto slots = DecideAll(*engine_, config_, jobs, *ctx.stats,
-                         metrics_.jobs_decided, metrics_.worker_jobs);
+  std::vector<std::optional<Result<FleetDecision>>> slots;
+  DecideAll(*engine_, config_, jobs, *ctx.stats, EligibleJobs(jobs),
+            metrics_.jobs_decided, metrics_.worker_jobs, &slots);
   FleetDayDecisions day;
   day.decisions.resize(jobs.size());
   for (size_t i = 0; i < jobs.size(); ++i) {
@@ -219,6 +233,8 @@ Result<FleetDayReport> DecisionArm::RunDayImpl(const DayContext& ctx,
 
   // Phase 1 (parallel): per-job decisions, or — on the ReplayDay path — the
   // precomputed ones, slotted in where this phase would have computed them.
+  // `needs` marks the jobs this phase decides: every eligible job, or with
+  // the template cache on, only the leaders.
   //
   // With the template cache on, a serial arrival-order prepass first resolves
   // hits against the cache (as left by prior RunDay/ReplayDay calls on this
@@ -230,32 +246,18 @@ Result<FleetDayReport> DecisionArm::RunDayImpl(const DayContext& ctx,
   // substitutes precomputed decisions for exactly the leader computations
   // (which DecideDay produced fresh, like this phase would), so cache state,
   // hit/miss/eviction counts, and LRU order evolve identically.
-  std::vector<std::optional<Result<FleetDecision>>> decisions;
+  std::vector<std::optional<Result<FleetDecision>>> decisions(jobs.size());
+  std::vector<char> needs = EligibleJobs(jobs);
   std::vector<TemplateCacheKey> keys;
   std::vector<size_t> leader_of;  // follower i -> index of its leader
-  std::vector<char> is_leader;
   const int64_t evictions_before = template_cache_.evictions();
   obs::ScopedTimer decide_timer(metrics_.decide_seconds);
-  if (!cache_cfg.enabled) {
-    if (precomputed != nullptr) {
-      decisions.resize(jobs.size());
-      for (size_t i = 0; i < jobs.size(); ++i) {
-        if (precomputed->decisions[i].has_value()) {
-          decisions[i].emplace(*precomputed->decisions[i]);
-        }
-      }
-    } else {
-      decisions = DecideAll(*engine_, config_, jobs, stats,
-                            metrics_.jobs_decided, metrics_.worker_jobs);
-    }
-  } else {
-    decisions.resize(jobs.size());
+  if (cache_cfg.enabled) {
     keys.resize(jobs.size());
     leader_of.assign(jobs.size(), jobs.size());
-    is_leader.assign(jobs.size(), 0);
     std::map<TemplateCacheKey, size_t> day_leaders;
     for (size_t i = 0; i < jobs.size(); ++i) {
-      if (jobs[i].graph.num_stages() < 2) continue;
+      if (!needs[i]) continue;
       keys[i] = BuildTemplateCacheKey(jobs[i], stats, config_.source,
                                       config_.objective, config_.num_cuts,
                                       cache_cfg.quantize_bps);
@@ -263,6 +265,7 @@ Result<FleetDayReport> DecisionArm::RunDayImpl(const DayContext& ctx,
       if (leader_it != day_leaders.end()) {
         // A same-key instance already leads this day: follow it.
         leader_of[i] = leader_it->second;
+        needs[i] = 0;
         ++report.cache_hits;
         continue;
       }
@@ -271,48 +274,28 @@ Result<FleetDayReport> DecisionArm::RunDayImpl(const DayContext& ctx,
       lookup_timer.Stop();
       if (hit != nullptr) {
         decisions[i].emplace(*hit);
+        needs[i] = 0;
         ++report.cache_hits;
         continue;
       }
       day_leaders.emplace(keys[i], i);
-      is_leader[i] = 1;
       ++report.cache_misses;
     }
-    if (precomputed != nullptr) {
-      for (size_t i = 0; i < jobs.size(); ++i) {
-        if (is_leader[i]) decisions[i].emplace(*precomputed->decisions[i]);
-      }
-    } else {
-      const DecideOptions options = config_.decide_options();
-      const int threads = ThreadPool::Resolve(config_.num_threads);
-      std::vector<std::unique_ptr<DecideScratch>> arenas = MakeWorkerArenas(threads);
-      auto decide = [&](int worker, size_t i) {
-        if (!is_leader[i]) return;
-        FleetDecision d;
-        Status st = engine_->DecideJobInto(
-            jobs[i], stats, options, arenas[static_cast<size_t>(worker)].get(), &d);
-        if (st.ok()) {
-          decisions[i].emplace(std::move(d));
-        } else {
-          decisions[i].emplace(std::move(st));
-        }
-        obs::Increment(metrics_.jobs_decided);
-        if (static_cast<size_t>(worker) < metrics_.worker_jobs.size()) {
-          obs::Increment(metrics_.worker_jobs[static_cast<size_t>(worker)]);
-        }
-      };
-      if (threads <= 1) {
-        for (size_t i = 0; i < jobs.size(); ++i) decide(0, i);
-      } else {
-        ThreadPool pool(threads);
-        pool.ParallelForWorker(jobs.size(), decide);
-      }
+  }
+  if (precomputed != nullptr) {
+    for (size_t i = 0; i < jobs.size(); ++i) {
+      if (needs[i]) decisions[i].emplace(*precomputed->decisions[i]);
     }
+  } else {
+    DecideAll(*engine_, config_, jobs, stats, needs, metrics_.jobs_decided,
+              metrics_.worker_jobs, &decisions);
+  }
+  if (cache_cfg.enabled) {
     // Serial admission prologue: insert leader decisions into the cache and
     // copy them to same-day followers, in arrival order, before the admission
     // loop below moves anything out of a leader's decision.
     for (size_t i = 0; i < jobs.size(); ++i) {
-      if (is_leader[i] && decisions[i]->ok()) {
+      if (needs[i] && decisions[i]->ok()) {
         obs::ScopedTimer insert_timer(metrics_.cache_insert_seconds);
         template_cache_.Insert(keys[i], **decisions[i]);
       } else if (leader_of[i] < jobs.size()) {

@@ -84,8 +84,9 @@ struct FleetConfig {
   }
 
   /// Structural validity of every knob (budget/arrivals not NaN, cut and
-  /// thread counts in range, nested TemplateCacheConfig valid). Checked once
-  /// at driver construction; every entry point fails fast on the result.
+  /// thread counts in range, no extra cuts under the recovery objective,
+  /// nested TemplateCacheConfig valid). Checked once at driver construction;
+  /// every entry point fails fast on the result.
   Status Validate() const;
 };
 

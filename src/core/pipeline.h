@@ -3,11 +3,11 @@
 // costs, simulate the schedule, stack the TTL, and pick the checkpoint cut.
 //
 // The pipeline is the *train-time* half of the train/serve split: Train (or
-// Load/LoadBundle) produces an immutable PipelineBundle, and all decide-path
-// reads go through the pipeline's DecisionEngine view of it (`engine()`).
-// The inference accessors and BuildCosts/Decide below delegate to that
-// engine, so the serving code path is identical whether callers hold a
-// pipeline or a bare engine over a loaded bundle.
+// Load/LoadBundle) produces an immutable PipelineBundle, and every decision
+// goes through the pipeline's DecisionEngine view of it —
+// `engine().DecideJob(job, inference_stats(), options)` — so the serving
+// code path is identical whether callers hold a pipeline or a bare engine
+// over a loaded bundle.
 #pragma once
 
 #include <memory>
@@ -64,24 +64,6 @@ class PhoebePipeline {
     return engine_.bundle().ttl_estimator();
   }
   double delta() const { return engine_.delta(); }
-
-  /// Build the optimizer inputs for one job under a cost source, using only
-  /// compile-time information (plus truth for the kTruth oracle).
-  Result<StageCosts> BuildCosts(const workload::JobInstance& job,
-                                CostSource source) const {
-    return engine_.BuildCosts(job, source);
-  }
-  /// Same, with an explicit historic-stats view (e.g. for later days).
-  Result<StageCosts> BuildCosts(const workload::JobInstance& job, CostSource source,
-                                const telemetry::HistoricStats& stats) const {
-    return engine_.BuildCosts(job, source, stats);
-  }
-
-  /// Full compile-time decision for one job.
-  Result<PipelineDecision> Decide(const workload::JobInstance& job, Objective objective,
-                                  CostSource source = CostSource::kMlStacked) const {
-    return engine_.Decide(job, objective, source);
-  }
 
   /// Persist / restore the single-file versioned bundle (see core/bundle.h):
   /// the trained models, the inference-time statistics snapshot and the

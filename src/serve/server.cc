@@ -382,7 +382,7 @@ void ServeServer::WorkerLoop() {
   std::optional<core::FleetDecision> decision{std::in_place};
   const std::optional<core::FleetDecision> ineligible;
   while (true) {
-    std::vector<Request> batch = PopBatch(config_.coalesce ? config_.max_batch : 1);
+    std::vector<Request> batch = PopBatch(config_.max_batch);
     if (batch.empty()) return;  // queue closed and drained
     obs::Observe(metrics_.batch_size, static_cast<double>(batch.size()));
     for (Request& request : batch) {

@@ -13,7 +13,7 @@
 //                        │
 //                        ▼
 //   worker threads: pop up to `max_batch` requests in one go (coalescing;
-//   `coalesce=false` degrades to batches of 1), decide each via a const
+//   `max_batch=1` decides one request per wakeup), decide each via a const
 //   DecisionEngine over the request's *pinned* bundle and DecideJobInto on
 //   the worker's own DecideScratch arena, write the response frame back
 //   under the connection's write mutex.
@@ -59,13 +59,12 @@ struct ServeConfig {
   int port = 0;
   /// Decide worker threads draining the request queue.
   int num_workers = 1;
-  /// Max requests one worker pops per wakeup (the coalesced batch size).
+  /// Max requests one worker pops per wakeup (the coalesced batch size; 1 =
+  /// no coalescing). serve_determinism_test pins that it cannot change any
+  /// response byte.
   int max_batch = 16;
   /// Bounded queue capacity; producers block (never drop) when full.
   int queue_capacity = 256;
-  /// When false, workers pop one request at a time (serve_determinism_test
-  /// pins that this knob cannot change any response byte).
-  bool coalesce = true;
   /// Bundle file reloaded on SIGHUP / an empty-payload reload frame.
   std::string bundle_path;
   /// Optional observability registry (borrowed; must outlive the server).

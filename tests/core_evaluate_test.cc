@@ -1,6 +1,7 @@
 // Tests for the §6.2/§6.3 back-testing harness: the realized temp-saving
-// metric on hand-built jobs, and the BackTester approach comparison on a
-// small trained pipeline.
+// metric on hand-built jobs, the BackTester approach comparison on a small
+// trained pipeline, and the N-engine EvaluateApproachArms pass the lifecycle
+// canary runs.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -86,6 +87,10 @@ class BackTesterTest : public ::testing::Test {
     for (int d = 0; d < 4; ++d) repo_->AddDay(d, gen_->GenerateDay(d)).Check();
     pipeline_ = new PhoebePipeline();
     pipeline_->Train(*repo_, 0, 3).Check();
+    // A second bundle over a shifted window: the other arm of the
+    // EvaluateApproachArms tests.
+    shifted_ = new PhoebePipeline();
+    shifted_->Train(*repo_, 1, 3).Check();
     eval_jobs_ = new std::vector<workload::JobInstance>(gen_->GenerateDay(4));
     // Re-anchor truth TTLs to the last stage end. The generator's
     // finalization slack rewards the (disallowed) full-stage "cut", which
@@ -99,6 +104,7 @@ class BackTesterTest : public ::testing::Test {
   }
   static void TearDownTestSuite() {
     delete eval_jobs_;
+    delete shifted_;
     delete pipeline_;
     delete repo_;
     delete gen_;
@@ -113,18 +119,20 @@ class BackTesterTest : public ::testing::Test {
   static workload::WorkloadGenerator* gen_;
   static telemetry::WorkloadRepository* repo_;
   static PhoebePipeline* pipeline_;
+  static PhoebePipeline* shifted_;
   static std::vector<workload::JobInstance>* eval_jobs_;
 };
 
 workload::WorkloadGenerator* BackTesterTest::gen_ = nullptr;
 telemetry::WorkloadRepository* BackTesterTest::repo_ = nullptr;
 PhoebePipeline* BackTesterTest::pipeline_ = nullptr;
+PhoebePipeline* BackTesterTest::shifted_ = nullptr;
 std::vector<workload::JobInstance>* BackTesterTest::eval_jobs_ = nullptr;
 
 TEST_F(BackTesterTest, TempStorageCoversAllApproachesInRange) {
   BackTester tester(&pipeline_->engine(), /*mtbf_seconds=*/12 * 3600.0);
   auto stats = repo_->StatsBefore(4);
-  auto result = tester.EvaluateTempStorage(*eval_jobs_, stats);
+  auto result = tester.Evaluate(*eval_jobs_, stats, Objective::kTempStorage);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_EQ(result->size(), AllApproaches().size());
   for (Approach a : AllApproaches()) {
@@ -160,8 +168,8 @@ TEST_F(BackTesterTest, SameSeedReproducesIdenticalMeans) {
   auto stats = repo_->StatsBefore(4);
   BackTester a(&pipeline_->engine(), 12 * 3600.0, /*seed=*/7);
   BackTester b(&pipeline_->engine(), 12 * 3600.0, /*seed=*/7);
-  auto ra = a.EvaluateTempStorage(*eval_jobs_, stats);
-  auto rb = b.EvaluateTempStorage(*eval_jobs_, stats);
+  auto ra = a.Evaluate(*eval_jobs_, stats, Objective::kTempStorage);
+  auto rb = b.Evaluate(*eval_jobs_, stats, Objective::kTempStorage);
   ASSERT_TRUE(ra.ok());
   ASSERT_TRUE(rb.ok());
   for (Approach ap : AllApproaches()) {
@@ -172,7 +180,7 @@ TEST_F(BackTesterTest, SameSeedReproducesIdenticalMeans) {
 TEST_F(BackTesterTest, RecoverySavingsStayInRange) {
   BackTester tester(&pipeline_->engine(), /*mtbf_seconds=*/6 * 3600.0);
   auto stats = repo_->StatsBefore(4);
-  auto result = tester.EvaluateRecovery(*eval_jobs_, stats);
+  auto result = tester.Evaluate(*eval_jobs_, stats, Objective::kRecovery);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   for (Approach a : AllApproaches()) {
     const RunningStats& s = result->at(a);
@@ -180,6 +188,60 @@ TEST_F(BackTesterTest, RecoverySavingsStayInRange) {
     EXPECT_GE(s.min(), 0.0) << ApproachName(a);
     EXPECT_LE(s.max(), 1.0) << ApproachName(a);
   }
+}
+
+// Entry k of the N-arm pass is bit for bit what a standalone BackTester over
+// engine k reports for the approach, for every deterministic approach under
+// both objectives.
+TEST_F(BackTesterTest, ApproachArmsMatchPerEngineEvaluate) {
+  const auto stats = repo_->StatsBefore(4);
+  const std::vector<const DecisionEngine*> engines = {&pipeline_->engine(),
+                                                      &shifted_->engine()};
+  const double mtbf = 6 * 3600.0;
+  bool arms_differ = false;
+  for (Objective objective : {Objective::kTempStorage, Objective::kRecovery}) {
+    for (Approach a : AllApproaches()) {
+      if (a == Approach::kRandom) continue;
+      auto arms = EvaluateApproachArms(engines, *eval_jobs_, stats, a, objective, mtbf);
+      ASSERT_TRUE(arms.ok()) << arms.status().ToString();
+      ASSERT_EQ(arms->size(), engines.size());
+      for (size_t k = 0; k < engines.size(); ++k) {
+        BackTester tester(engines[k], mtbf);
+        auto alone = tester.Evaluate(*eval_jobs_, stats, objective, {a});
+        ASSERT_TRUE(alone.ok()) << alone.status().ToString();
+        const RunningStats& want = alone->at(a);
+        const RunningStats& got = (*arms)[k];
+        const std::string where = ApproachName(a) + " arm " + std::to_string(k);
+        EXPECT_EQ(got.count(), want.count()) << where;
+        EXPECT_EQ(got.sum(), want.sum()) << where;
+        EXPECT_EQ(got.variance(), want.variance()) << where;
+        EXPECT_EQ(got.min(), want.min()) << where;
+        EXPECT_EQ(got.max(), want.max()) << where;
+      }
+      arms_differ |= (*arms)[0].sum() != (*arms)[1].sum();
+    }
+  }
+  // The two bundles must disagree somewhere, or arm k could be read from the
+  // wrong engine unnoticed.
+  EXPECT_TRUE(arms_differ);
+}
+
+TEST_F(BackTesterTest, ApproachArmsRejectsBadArguments) {
+  const auto stats = repo_->StatsBefore(4);
+  const DecisionEngine* engine = &pipeline_->engine();
+  auto status = [&](const std::vector<const DecisionEngine*>& engines, Approach a,
+                    double mtbf) {
+    return EvaluateApproachArms(engines, *eval_jobs_, stats, a,
+                                Objective::kTempStorage, mtbf)
+        .status();
+  };
+  EXPECT_TRUE(status({engine}, Approach::kMidPoint, 3600.0).ok());
+  EXPECT_TRUE(status({engine}, Approach::kRandom, 3600.0).IsInvalidArgument());
+  EXPECT_TRUE(status({}, Approach::kMlStacked, 3600.0).IsInvalidArgument());
+  EXPECT_TRUE(
+      status({engine, nullptr}, Approach::kMlStacked, 3600.0).IsInvalidArgument());
+  EXPECT_TRUE(status({engine}, Approach::kMlStacked, 0.0).IsInvalidArgument());
+  EXPECT_TRUE(status({engine}, Approach::kMlStacked, -3600.0).IsInvalidArgument());
 }
 
 TEST(ApproachTest, NamesAreUniqueAndNonEmpty) {

@@ -174,7 +174,8 @@ TEST_F(MultiCutFleetFixture, DriverReportsDpObjectiveAndPhysicalRealizedValue) {
   for (size_t i = 0; i < jobs.size(); ++i) {
     const FleetJobOutcome& out = report->outcomes[i];
     if (out.cuts.empty()) continue;
-    auto costs = pipeline_->BuildCosts(jobs[i], cfg.source, repo_->StatsBefore(5));
+    auto costs = pipeline_->engine().BuildCosts(jobs[i], cfg.source,
+                                                repo_->StatsBefore(5));
     ASSERT_TRUE(costs.ok());
     auto dp = OptimizeTempStorageMultiCut(jobs[i].graph, *costs, cfg.num_cuts);
     ASSERT_TRUE(dp.ok());
@@ -207,7 +208,8 @@ TEST_F(MultiCutFleetFixture, StorageCountsEachStageOnce) {
   for (size_t i = 0; i < jobs.size(); ++i) {
     const FleetJobOutcome& out = report->outcomes[i];
     if (out.cuts.size() < 2 || !out.admitted) continue;
-    auto costs = pipeline_->BuildCosts(jobs[i], cfg.source, repo_->StatsBefore(5));
+    auto costs = pipeline_->engine().BuildCosts(jobs[i], cfg.source,
+                                                repo_->StatsBefore(5));
     ASSERT_TRUE(costs.ok());
     std::set<dag::StageId> persisted;
     double per_cut_sum = 0.0;

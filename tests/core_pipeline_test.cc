@@ -96,8 +96,8 @@ TEST_F(PipelineFixture, StackedTtlBeatsRawSimulatorTtl) {
   auto stats = repo_->StatsBefore(4);
   std::vector<double> truth, stacked, raw;
   for (const auto& job : test_jobs) {
-    auto c_raw = pipeline_->BuildCosts(job, CostSource::kMlSimulator, stats);
-    auto c_stk = pipeline_->BuildCosts(job, CostSource::kMlStacked, stats);
+    auto c_raw = pipeline_->engine().BuildCosts(job, CostSource::kMlSimulator, stats);
+    auto c_stk = pipeline_->engine().BuildCosts(job, CostSource::kMlStacked, stats);
     ASSERT_TRUE(c_raw.ok());
     ASSERT_TRUE(c_stk.ok());
     for (size_t i = 0; i < job.graph.num_stages(); ++i) {
@@ -111,50 +111,57 @@ TEST_F(PipelineFixture, StackedTtlBeatsRawSimulatorTtl) {
 
 TEST_F(PipelineFixture, BuildCostsShapesAndSemantics) {
   const auto& job = repo_->Day(4).front();
+  const DecisionEngine& engine = pipeline_->engine();
+  const telemetry::HistoricStats& stats = engine.inference_stats();
   for (CostSource src :
        {CostSource::kTruth, CostSource::kOptimizerEstimates, CostSource::kConstant,
         CostSource::kMlSimulator, CostSource::kMlStacked}) {
-    auto costs = pipeline_->BuildCosts(job, src);
+    auto costs = engine.BuildCosts(job, src, stats);
     ASSERT_TRUE(costs.ok());
     EXPECT_TRUE(costs->Validate(job.graph).ok());
   }
   // Truth source must echo ground truth exactly.
-  auto truth = pipeline_->BuildCosts(job, CostSource::kTruth);
+  auto truth = engine.BuildCosts(job, CostSource::kTruth, stats);
   ASSERT_TRUE(truth.ok());
   for (size_t i = 0; i < job.graph.num_stages(); ++i) {
     EXPECT_DOUBLE_EQ(truth->ttl[i], job.truth[i].ttl);
     EXPECT_DOUBLE_EQ(truth->output_bytes[i], job.truth[i].output_bytes);
   }
   // Constant source: all outputs equal.
-  auto cc = pipeline_->BuildCosts(job, CostSource::kConstant);
+  auto cc = engine.BuildCosts(job, CostSource::kConstant, stats);
   ASSERT_TRUE(cc.ok());
   for (double o : cc->output_bytes) EXPECT_DOUBLE_EQ(o, 1.0);
 }
 
 TEST_F(PipelineFixture, UntrainedPipelineRejectsMlSources) {
   PhoebePipeline fresh;
+  const DecisionEngine& engine = fresh.engine();
   const auto& job = repo_->Day(4).front();
-  EXPECT_FALSE(fresh.BuildCosts(job, CostSource::kMlStacked).ok());
+  const telemetry::HistoricStats& stats = engine.inference_stats();
+  EXPECT_FALSE(engine.BuildCosts(job, CostSource::kMlStacked, stats).ok());
+  EXPECT_FALSE(engine.DecideJob(job, stats, {}).ok());
   // But truth/constant sources work untrained.
-  EXPECT_TRUE(fresh.BuildCosts(job, CostSource::kTruth).ok());
-  EXPECT_TRUE(fresh.BuildCosts(job, CostSource::kConstant).ok());
+  EXPECT_TRUE(engine.BuildCosts(job, CostSource::kTruth, stats).ok());
+  EXPECT_TRUE(engine.BuildCosts(job, CostSource::kConstant, stats).ok());
 }
 
-TEST_F(PipelineFixture, DecideProducesValidCutAndTimings) {
+TEST_F(PipelineFixture, DecideJobProducesValidCut) {
   const auto& jobs = repo_->Day(4);
   const workload::JobInstance* big = nullptr;
   for (const auto& j : jobs) {
     if (!big || j.graph.num_stages() > big->graph.num_stages()) big = &j;
   }
+  const DecisionEngine& engine = pipeline_->engine();
   for (Objective obj : {Objective::kTempStorage, Objective::kRecovery}) {
-    auto d = pipeline_->Decide(*big, obj);
+    auto d = engine.DecideJob(*big, engine.inference_stats(), {obj});
     ASSERT_TRUE(d.ok());
-    EXPECT_GE(d->lookup_seconds, 0.0);
-    EXPECT_GE(d->scoring_seconds, 0.0);
-    EXPECT_GE(d->optimize_seconds, 0.0);
-    if (!d->cut.cut.empty()) {
-      EXPECT_EQ(d->cut.cut.before_cut.size(), big->graph.num_stages());
+    if (d->combined.cut.empty()) {
+      EXPECT_TRUE(d->cuts.empty());
+      continue;
     }
+    EXPECT_EQ(d->combined.cut.before_cut.size(), big->graph.num_stages());
+    ASSERT_EQ(d->cuts.size(), 1u);
+    EXPECT_EQ(d->cuts[0].before_cut, d->combined.cut.before_cut);
   }
 }
 
@@ -163,7 +170,7 @@ TEST_F(PipelineFixture, ApproachOrderingMatchesPaperShape) {
   const auto& jobs = repo_->Day(4);
   auto stats = repo_->StatsBefore(4);
   BackTester tester(&pipeline_->engine(), /*mtbf_seconds=*/12 * 3600.0);
-  auto result = tester.EvaluateTempStorage(jobs, stats);
+  auto result = tester.Evaluate(jobs, stats, Objective::kTempStorage);
   ASSERT_TRUE(result.ok());
   double random = (*result)[Approach::kRandom].mean();
   double ml = (*result)[Approach::kMl].mean();
@@ -187,8 +194,8 @@ TEST_F(PipelineFixture, RecoveryOrderingMatchesPaperShape) {
   const auto& jobs = repo_->Day(4);
   auto stats = repo_->StatsBefore(4);
   BackTester tester(&pipeline_->engine(), 12 * 3600.0);
-  auto result = tester.EvaluateRecovery(
-      jobs, stats,
+  auto result = tester.Evaluate(
+      jobs, stats, Objective::kRecovery,
       {Approach::kRandom, Approach::kMidPoint, Approach::kMlStacked,
        Approach::kOptimal});
   ASSERT_TRUE(result.ok());

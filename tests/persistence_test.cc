@@ -175,12 +175,12 @@ TEST_F(CorePersistenceTest, PipelineSaveLoadRoundTrip) {
   // Decisions from the loaded pipeline must be identical.
   for (const auto& job : repo_->Day(3)) {
     if (job.graph.num_stages() < 2) continue;
-    auto a = pipeline_->Decide(job, core::Objective::kTempStorage);
-    auto b = loaded.Decide(job, core::Objective::kTempStorage);
+    auto a = pipeline_->engine().DecideJob(job, pipeline_->inference_stats(), {});
+    auto b = loaded.engine().DecideJob(job, loaded.inference_stats(), {});
     ASSERT_TRUE(a.ok());
     ASSERT_TRUE(b.ok());
-    EXPECT_EQ(a->cut.cut.before_cut, b->cut.cut.before_cut);
-    EXPECT_DOUBLE_EQ(a->cut.objective, b->cut.objective);
+    EXPECT_EQ(a->combined.cut.before_cut, b->combined.cut.before_cut);
+    EXPECT_DOUBLE_EQ(a->combined.objective, b->combined.objective);
   }
   std::filesystem::remove(path);
 }

@@ -201,20 +201,20 @@ TEST_F(PipelinePersistenceProperty, LoadedPipelinePredictsBitEqualOnUnseenDays) 
     auto b_exec = loaded.exec_predictor().PredictJob(job, stats);
     ASSERT_EQ(a_exec, b_exec);
     for (auto source : {core::CostSource::kMlSimulator, core::CostSource::kMlStacked}) {
-      auto a_costs = pipeline_->BuildCosts(job, source, stats);
-      auto b_costs = loaded.BuildCosts(job, source, stats);
+      auto a_costs = pipeline_->engine().BuildCosts(job, source, stats);
+      auto b_costs = loaded.engine().BuildCosts(job, source, stats);
       ASSERT_TRUE(a_costs.ok());
       ASSERT_TRUE(b_costs.ok());
       ASSERT_EQ(a_costs->ttl, b_costs->ttl);
       ASSERT_EQ(a_costs->output_bytes, b_costs->output_bytes);
     }
     if (job.graph.num_stages() < 2) continue;
-    auto a = pipeline_->Decide(job, core::Objective::kTempStorage);
-    auto b = loaded.Decide(job, core::Objective::kTempStorage);
+    auto a = pipeline_->engine().DecideJob(job, pipeline_->inference_stats(), {});
+    auto b = loaded.engine().DecideJob(job, loaded.inference_stats(), {});
     ASSERT_TRUE(a.ok());
     ASSERT_TRUE(b.ok());
-    EXPECT_EQ(a->cut.cut.before_cut, b->cut.cut.before_cut);
-    EXPECT_EQ(a->cut.objective, b->cut.objective);
+    EXPECT_EQ(a->combined.cut.before_cut, b->combined.cut.before_cut);
+    EXPECT_EQ(a->combined.objective, b->combined.objective);
   }
 }
 

@@ -7,6 +7,7 @@
 // batching, and threads, none of which may leak into a single byte of any
 // response payload.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <map>
@@ -49,8 +50,11 @@ class ServeDeterminismTest : public ::testing::Test {
     core::PhoebePipeline pipeline(cfg);
     pipeline.Train(repo, 0, 3).Check();
 
+    // Per-process path: ctest -j runs each case in its own process, and one
+    // case's teardown must not delete the file another case is loading.
     bundle_path_ = new std::string(
-        (std::filesystem::temp_directory_path() / "phoebe_serve_det.bundle")
+        (std::filesystem::temp_directory_path() /
+         ("phoebe_serve_det_" + std::to_string(::getpid()) + ".bundle"))
             .string());
     pipeline.SaveBundle(*bundle_path_).Check();
     auto loaded = core::PipelineBundle::LoadFromFile(*bundle_path_);
@@ -133,22 +137,22 @@ std::vector<Case>* ServeDeterminismTest::cases_ = nullptr;
 std::vector<std::string>* ServeDeterminismTest::expected_ = nullptr;
 
 TEST_F(ServeDeterminismTest, SocketBytesMatchDirectEngineAcrossServerConfigs) {
-  // worker count x coalescing x metrics: 8 server configurations, one
+  // worker count x batch size x metrics: 8 server configurations, one
   // expected byte string. None of these knobs may change a single byte.
   for (int workers : {1, 4}) {
-    for (bool coalesce : {true, false}) {
+    for (int max_batch : {16, 1}) {
       for (bool metrics : {false, true}) {
         obs::MetricsRegistry registry;
         ServeConfig cfg;
         cfg.num_workers = workers;
-        cfg.coalesce = coalesce;
+        cfg.max_batch = max_batch;
         cfg.bundle_path = *bundle_path_;
         cfg.metrics = metrics ? &registry : nullptr;
         ServeServer server(*bundle_, cfg);
         ASSERT_TRUE(server.Start().ok());
         ExpectServedBytesMatch(
-            server, StrFormat("workers=%d coalesce=%d metrics=%d", workers,
-                              static_cast<int>(coalesce), static_cast<int>(metrics)));
+            server, StrFormat("workers=%d max_batch=%d metrics=%d", workers,
+                              max_batch, static_cast<int>(metrics)));
         server.Stop();
       }
     }

@@ -122,6 +122,31 @@ expect_exit 2 "fleet --batch (removed)" -- "$CLI" fleet "${SMALL[@]}" --batch
 expect_exit 2 "fleet --no-batch (removed)" -- "$CLI" fleet "${SMALL[@]}" --no-batch
 expect_exit 2 "save-models (removed)" -- "$CLI" save-models "${SMALL[@]}"
 
+# A knob that would do nothing is a usage error, never silently ignored or
+# clamped: each case exits 2 (the fleet-config ones before any training).
+expect_exit 2 "fleet --cache-bps without cache" -- \
+  "$CLI" fleet "${SMALL[@]}" --train-days 2 --cache-bps 5000
+expect_stderr_contains "fleet --cache-bps without cache" "needs --template-cache"
+expect_exit 2 "fleet-ab --cache-bps without cache" -- \
+  "$CLI" fleet-ab "${SMALL[@]}" --train-days 2 --cache-bps 5000 --arm cuts=2
+expect_exit 2 "lifecycle --cache-bps without cache" -- \
+  "$CLI" lifecycle "${SMALL[@]}" --out-dir "$WORKDIR/lc_bad" --cache-bps 5000
+expect_exit 2 "fleet --out without --shard" -- \
+  "$CLI" fleet "${SMALL[@]}" --train-days 2 --out "$WORKDIR/unsharded.blob"
+expect_exit 2 "fleet --shard with --merge" -- \
+  "$CLI" fleet "${SMALL[@]}" --train-days 2 --shard 0/1 --out "$WORKDIR/s.blob" \
+    --merge "$WORKDIR/s.blob"
+expect_exit 2 "fleet recovery with --num-cuts 3" -- \
+  "$CLI" fleet "${SMALL[@]}" --train-days 2 --objective recovery --num-cuts 3
+expect_stderr_contains "fleet recovery with --num-cuts 3" "num_cuts > 1"
+expect_exit 2 "fleet-ab recovery with --arm cuts=3" -- \
+  "$CLI" fleet-ab "${SMALL[@]}" --train-days 2 --objective recovery --arm cuts=3
+expect_exit 2 "fleet --num-cuts 0" -- \
+  "$CLI" fleet "${SMALL[@]}" --train-days 2 --num-cuts 0
+expect_exit 2 "fleet --budget-gb -3" -- \
+  "$CLI" fleet "${SMALL[@]}" --train-days 2 --budget-gb -3
+expect_stderr_contains "fleet --budget-gb -3" "budget-gb must be >= 0"
+
 # An exact-mode template cache (--cache-bps 0) must be byte-neutral while
 # reporting its hit/miss traffic.
 expect_exit 0 "fleet template-cache" -- \

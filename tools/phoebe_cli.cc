@@ -135,6 +135,63 @@ Result<core::Objective> ParseObjective(const std::string& value) {
       StrFormat("--objective expects temp|recovery, got '%s'", value.c_str()));
 }
 
+/// Print `message` as a usage error and exit 2.
+[[noreturn]] void UsageErrorExit(const std::string& message) {
+  std::fprintf(stderr, "%s\n", message.c_str());
+  std::exit(2);
+}
+
+/// The FleetConfig `fleet`, `fleet-ab` and `lifecycle` build from their
+/// shared flags: --objective, --num-cuts, --threads, --template-cache,
+/// --cache-bps and, when `with_budget` (the command declares it),
+/// --budget-gb. An out-of-range value or a knob that would do nothing — a
+/// drift tolerance without the cache, extra cuts under the recovery
+/// objective — is a usage error (exit 2), never clamped or ignored.
+core::FleetConfig FleetConfigOrExit(const ArgParser& p, bool with_budget) {
+  core::FleetConfig cfg;
+  auto objective = ParseObjective(p.GetString("objective"));
+  if (!objective.ok()) UsageErrorExit(objective.status().ToString());
+  cfg.objective = *objective;
+  cfg.num_cuts = p.GetInt("num-cuts");
+  cfg.num_threads = p.GetInt("threads");
+  if (with_budget) {
+    const double budget_gb = p.GetDouble("budget-gb");
+    if (!(budget_gb >= 0.0)) {
+      UsageErrorExit(StrFormat("--budget-gb must be >= 0 (0 = unlimited), got %g",
+                               budget_gb));
+    }
+    if (budget_gb > 0.0) cfg.storage_budget_bytes = budget_gb * 1e9;
+  }
+  const int cache_capacity = p.GetInt("template-cache");
+  if (cache_capacity < 0) {
+    UsageErrorExit(StrFormat("--template-cache must be >= 0 (0 = disabled), got %d",
+                             cache_capacity));
+  }
+  if (cache_capacity > 0) {
+    cfg.template_cache.enabled = true;
+    cfg.template_cache.capacity = static_cast<size_t>(cache_capacity);
+    cfg.template_cache.quantize_bps = p.GetInt("cache-bps");
+  } else if (p.Provided("cache-bps")) {
+    UsageErrorExit("--cache-bps tunes the template cache; it needs --template-cache N");
+  }
+  if (Status st = cfg.Validate(); !st.ok()) {
+    UsageErrorExit("invalid fleet configuration: " + st.ToString());
+  }
+  return cfg;
+}
+
+/// --shard writes a blob to --out and exits; --merge replays blobs. Either
+/// flag without its counterpart would be silently ignored, so exit 2.
+void CheckShardFlagsOrExit(const ArgParser& p) {
+  const bool shard = !p.GetString("shard").empty();
+  if (!shard && !p.GetString("out").empty()) {
+    UsageErrorExit("--out names the --shard blob; it needs --shard I/N");
+  }
+  if (shard && !p.GetString("merge").empty()) {
+    UsageErrorExit("--shard decides and writes a blob; it cannot also --merge");
+  }
+}
+
 int CmdGenerate(int argc, char** argv) {
   ArgParser p("phoebe_cli generate",
               "Generate a synthetic workload and export per-stage telemetry CSV.");
@@ -255,7 +312,8 @@ int CmdTrain(int argc, char** argv) {
   for (const auto& job : jobs) {
     auto exec = t.phoebe.exec_predictor().PredictJob(job, stats);
     auto out = t.phoebe.size_predictor().PredictJob(job, stats);
-    auto costs = t.phoebe.BuildCosts(job, core::CostSource::kMlStacked, stats);
+    auto costs =
+        t.phoebe.engine().BuildCosts(job, core::CostSource::kMlStacked, stats);
     costs.status().Check();
     for (size_t i = 0; i < job.graph.num_stages(); ++i) {
       et.push_back(job.truth[i].exec_seconds);
@@ -340,30 +398,31 @@ int CmdDecide(int argc, char** argv) {
     return 1;
   }
   const auto& job = jobs[static_cast<size_t>(index)];
-  auto decision = t.phoebe.Decide(job, *objective);
+  const auto start = std::chrono::steady_clock::now();
+  auto decision = t.phoebe.engine().DecideJob(job, t.phoebe.inference_stats(),
+                                              {*objective});
+  const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - start;
   decision.status().Check();
+  const core::CutResult& cut = decision->combined;
 
   std::printf("job '%s' (%zu stages, runtime %s)\n", job.job_name.c_str(),
               job.graph.num_stages(), HumanDuration(job.JobRuntime()).c_str());
-  std::printf("overhead: lookup %.2f ms, scoring %.2f ms, optimize %.3f ms\n",
-              1e3 * decision->lookup_seconds, 1e3 * decision->scoring_seconds,
-              1e3 * decision->optimize_seconds);
-  if (decision->cut.cut.empty()) {
+  std::printf("decide time: %.3f ms\n", 1e3 * elapsed.count());
+  if (cut.cut.empty()) {
     std::printf("no profitable checkpoint for this job\n");
     return 0;
   }
   size_t before = 0;
-  for (bool b : decision->cut.cut.before_cut) before += b ? 1 : 0;
+  for (bool b : cut.cut.before_cut) before += b ? 1 : 0;
   std::printf("cut: %zu of %zu stages before the cut; est. global storage %s\n",
-              before, job.graph.num_stages(),
-              HumanBytes(decision->cut.global_bytes).c_str());
+              before, job.graph.num_stages(), HumanBytes(cut.global_bytes).c_str());
   std::printf("checkpoint stages:\n");
-  for (dag::StageId u : cluster::CheckpointStages(job.graph, decision->cut.cut)) {
+  for (dag::StageId u : cluster::CheckpointStages(job.graph, cut.cut)) {
     std::printf("  %-28s output %s\n", job.graph.stage(u).name.c_str(),
                 HumanBytes(job.truth[static_cast<size_t>(u)].output_bytes).c_str());
   }
   std::printf("realized temp saving (ex-post): %.1f%%\n",
-              100.0 * core::RealizedTempSaving(job, decision->cut.cut));
+              100.0 * core::RealizedTempSaving(job, cut.cut));
   return 0;
 }
 
@@ -383,16 +442,18 @@ int CmdExplain(int argc, char** argv) {
     return 1;
   }
   const auto& job = jobs[static_cast<size_t>(index)];
-  auto costs = t.phoebe.BuildCosts(job, core::CostSource::kMlStacked);
+  const core::DecisionEngine& engine = t.phoebe.engine();
+  const telemetry::HistoricStats& stats = engine.inference_stats();
+  auto costs = engine.BuildCosts(job, core::CostSource::kMlStacked, stats);
   costs.status().Check();
-  auto cut = core::OptimizeTempStorage(job.graph, *costs);
-  cut.status().Check();
+  auto decision = engine.DecideJob(job, stats, {});
+  decision.status().Check();
   if (p.GetBool("json")) {
-    auto json = core::ExplainDecisionJson(job, *costs, *cut);
+    auto json = core::ExplainDecisionJson(job, *costs, decision->combined);
     json.status().Check();
     std::printf("%s\n", json->c_str());
   } else {
-    auto text = core::ExplainDecisionText(job, *costs, *cut);
+    auto text = core::ExplainDecisionText(job, *costs, decision->combined);
     text.status().Check();
     std::fputs(text->c_str(), stdout);
   }
@@ -414,11 +475,11 @@ int CmdDot(int argc, char** argv) {
     return 1;
   }
   const auto& job = jobs[static_cast<size_t>(index)];
-  auto decision = t.phoebe.Decide(job, core::Objective::kTempStorage);
+  auto decision = t.phoebe.engine().DecideJob(job, t.phoebe.inference_stats(), {});
   decision.status().Check();
 
   dag::DotOptions opt;
-  opt.before_cut = decision->cut.cut.before_cut;
+  opt.before_cut = decision->combined.cut.before_cut;
   opt.annotations.resize(job.graph.num_stages());
   for (size_t i = 0; i < job.graph.num_stages(); ++i) {
     opt.annotations[i] = HumanBytes(job.truth[i].output_bytes);
@@ -522,12 +583,8 @@ int CmdFleet(int argc, char** argv) {
               "byte-identical reports");
   int code;
   if (!ParseOrReport(p, argc, argv, &code)) return code;
-
-  auto objective = ParseObjective(p.GetString("objective"));
-  if (!objective.ok()) {
-    std::fprintf(stderr, "%s\n", objective.status().ToString().c_str());
-    return 2;
-  }
+  core::FleetConfig cfg = FleetConfigOrExit(p, /*with_budget=*/true);
+  CheckShardFlagsOrExit(p);
 
   // Telemetry is opt-in and strictly passive: the registry only exists when
   // --metrics names an output file, and a null registry compiles the whole
@@ -553,26 +610,8 @@ int CmdFleet(int argc, char** argv) {
   const int num_days = std::max(1, p.GetInt("days"));
   Trained t = TrainFromArgs(p, num_days);
 
-  core::FleetConfig cfg;
-  cfg.objective = *objective;
-  cfg.num_cuts = std::max(1, p.GetInt("num-cuts"));
-  cfg.num_threads = p.GetInt("threads");
   cfg.metrics = registry.get();
-  double budget_gb = p.GetDouble("budget-gb");
-  if (budget_gb > 0.0) cfg.storage_budget_bytes = budget_gb * 1e9;
-
-  // --template-cache N enables the recurring-template decision cache with
-  // capacity N; --cache-bps sets the input-size drift tolerance (0 = exact).
-  int cache_capacity = p.GetInt("template-cache");
-  if (cache_capacity > 0) {
-    cfg.template_cache.enabled = true;
-    cfg.template_cache.capacity = static_cast<size_t>(cache_capacity);
-    cfg.template_cache.quantize_bps = std::max(0, p.GetInt("cache-bps"));
-  }
-  if (Status st = cfg.Validate(); !st.ok()) {
-    std::fprintf(stderr, "invalid fleet configuration: %s\n", st.ToString().c_str());
-    return 2;
-  }
+  const double budget_gb = p.GetDouble("budget-gb");
 
   // With --metrics, decide through a metrics-aware engine view over the same
   // immutable bundle; decisions are identical either way (the engine is a
@@ -771,11 +810,13 @@ int CmdFleet(int argc, char** argv) {
 
 /// Apply one `--arm` spec ("name=twocut,cuts=2,source=ml_sim,cache=64,bps=50,
 /// scenario=flash-crowd") on top of the baseline FleetConfig. Only the listed
-/// keys are accepted; a typo is a CLI error, never a silently ignored knob.
-/// `scenario` names a preset or phoebe_scenario file the arm's workload is
-/// generated under (validated when the arm's generator is built).
+/// keys are accepted; a typo is a CLI error, never a silently ignored knob,
+/// and the resulting config must pass FleetConfig::Validate. `scenario`
+/// names a preset or phoebe_scenario file the arm's workload is generated
+/// under (validated when the arm's generator is built).
 Status ApplyArmSpec(const std::string& spec, core::FleetConfig* cfg,
                     std::string* name, std::string* scenario) {
+  bool bps_set = false;
   for (const std::string& kv : Split(spec, ',')) {
     size_t eq = kv.find('=');
     if (eq == std::string::npos || eq == 0) {
@@ -792,10 +833,11 @@ Status ApplyArmSpec(const std::string& spec, core::FleetConfig* cfg,
     } else if (key == "cuts") {
       int32_t v = 0;
       parsed = ParseInt32(value, &v);
-      if (parsed.ok()) cfg->num_cuts = std::max(1, v);
+      if (parsed.ok()) cfg->num_cuts = v;
     } else if (key == "cache") {
       int32_t v = 0;
       parsed = ParseInt32(value, &v);
+      if (parsed.ok() && v < 0) parsed = Status::InvalidArgument("must be >= 0");
       if (parsed.ok()) {
         cfg->template_cache.enabled = v > 0;
         if (v > 0) cfg->template_cache.capacity = static_cast<size_t>(v);
@@ -803,7 +845,8 @@ Status ApplyArmSpec(const std::string& spec, core::FleetConfig* cfg,
     } else if (key == "bps") {
       int32_t v = 0;
       parsed = ParseInt32(value, &v);
-      if (parsed.ok()) cfg->template_cache.quantize_bps = std::max(0, v);
+      if (parsed.ok()) cfg->template_cache.quantize_bps = v;
+      bps_set = true;
     } else if (key == "scenario") {
       if (value.empty()) {
         return Status::InvalidArgument("--arm scenario= needs a value");
@@ -819,6 +862,14 @@ Status ApplyArmSpec(const std::string& spec, core::FleetConfig* cfg,
       return Status::InvalidArgument(StrFormat("--arm %s: %s", key.c_str(),
                                                parsed.message().c_str()));
     }
+  }
+  if (bps_set && !cfg->template_cache.enabled) {
+    return Status::InvalidArgument(
+        "--arm bps= tunes the template cache; the arm needs cache= or --template-cache");
+  }
+  if (Status st = cfg->Validate(); !st.ok()) {
+    return Status::InvalidArgument("--arm '" + spec +
+                                   "': invalid fleet configuration: " + st.message());
   }
   return Status::OK();
 }
@@ -862,12 +913,8 @@ int CmdFleetAb(int argc, char** argv) {
               "byte-identical paired reports");
   int code;
   if (!ParseOrReport(p, argc, argv, &code)) return code;
-
-  auto objective = ParseObjective(p.GetString("objective"));
-  if (!objective.ok()) {
-    std::fprintf(stderr, "%s\n", objective.status().ToString().c_str());
-    return 2;
-  }
+  const core::FleetConfig base_cfg = FleetConfigOrExit(p, /*with_budget=*/true);
+  CheckShardFlagsOrExit(p);
 
   std::unique_ptr<obs::MetricsRegistry> registry;
   std::ofstream metrics_file;
@@ -891,17 +938,6 @@ int CmdFleetAb(int argc, char** argv) {
   for (int d = 0; d < total; ++d) repo.AddDay(d, gen.GenerateDay(d)).Check();
 
   const double budget_gb = p.GetDouble("budget-gb");
-  core::FleetConfig base_cfg;
-  base_cfg.objective = *objective;
-  base_cfg.num_cuts = std::max(1, p.GetInt("num-cuts"));
-  base_cfg.num_threads = p.GetInt("threads");
-  if (budget_gb > 0.0) base_cfg.storage_budget_bytes = budget_gb * 1e9;
-  int cache_capacity = p.GetInt("template-cache");
-  if (cache_capacity > 0) {
-    base_cfg.template_cache.enabled = true;
-    base_cfg.template_cache.capacity = static_cast<size_t>(cache_capacity);
-    base_cfg.template_cache.quantize_bps = std::max(0, p.GetInt("cache-bps"));
-  }
 
   // Arm plan: one arm per --bundle (arm 0 trains in-process when none are
   // named), then one arm per --arm spec over the arm-0 bundle.
@@ -1260,11 +1296,8 @@ int CmdLifecycle(int argc, char** argv) {
     std::fprintf(stderr, "lifecycle requires --out-dir <directory>\n");
     return 2;
   }
-  auto objective = ParseObjective(p.GetString("objective"));
-  if (!objective.ok()) {
-    std::fprintf(stderr, "%s\n", objective.status().ToString().c_str());
-    return 2;
-  }
+  lifecycle::LifecycleConfig cfg;
+  cfg.fleet = FleetConfigOrExit(p, /*with_budget=*/false);
 
   std::unique_ptr<obs::MetricsRegistry> registry;
   std::ofstream metrics_file;
@@ -1278,21 +1311,11 @@ int CmdLifecycle(int argc, char** argv) {
     }
   }
 
-  lifecycle::LifecycleConfig cfg;
   cfg.policy.min_exec_r2 = p.GetDouble("policy-min-r2");
   cfg.policy.max_age_days = p.GetInt("policy-max-age");
   cfg.policy.train_window_days = p.GetInt("policy-train-window");
   cfg.policy.min_history_days = p.GetInt("policy-min-history");
   cfg.backtest_window_days = p.GetInt("backtest-window");
-  cfg.fleet.objective = *objective;
-  cfg.fleet.num_threads = p.GetInt("threads");
-  cfg.fleet.num_cuts = std::max(1, p.GetInt("num-cuts"));
-  int cache_capacity = p.GetInt("template-cache");
-  if (cache_capacity > 0) {
-    cfg.fleet.template_cache.enabled = true;
-    cfg.fleet.template_cache.capacity = static_cast<size_t>(cache_capacity);
-    cfg.fleet.template_cache.quantize_bps = std::max(0, p.GetInt("cache-bps"));
-  }
   cfg.shadow = p.GetBool("shadow");
   const std::string candidate = p.GetString("candidate-pipeline");
   if (candidate == "small") {
@@ -1396,11 +1419,10 @@ int CmdServe(int argc, char** argv) {
   p.AddString("port-file", "", "write the bound port number to this file "
               "(how scripts find an ephemeral port)");
   p.AddInt("workers", 2, "decide worker threads");
-  p.AddInt("max-batch", 16, "max requests coalesced into one decide batch");
+  p.AddInt("max-batch", 16, "max requests coalesced into one decide batch "
+           "(1 = one request per worker wakeup; responses are byte-identical)");
   p.AddInt("queue-capacity", 256, "bounded request queue capacity (producers "
            "block when full; requests are never dropped)");
-  p.AddBool("no-coalesce", "decide one request per worker wakeup "
-            "(byte-identical responses, more wakeups)");
   p.AddString("metrics", "", "write a cumulative telemetry JSON line to this "
               "file on exit");
   p.AddDouble("max-seconds", 0.0, "exit after this long even without a "
@@ -1431,7 +1453,6 @@ int CmdServe(int argc, char** argv) {
   cfg.num_workers = p.GetInt("workers");
   cfg.max_batch = p.GetInt("max-batch");
   cfg.queue_capacity = p.GetInt("queue-capacity");
-  cfg.coalesce = !p.GetBool("no-coalesce");
   cfg.bundle_path = bundle_path;
   cfg.metrics = registry.get();
   if (Status st = cfg.Validate(); !st.ok()) {
@@ -1618,8 +1639,7 @@ int CmdBacktest(int argc, char** argv) {
   auto stats = t.repo.StatsBefore(t.train_days);
   bool recovery = *objective == core::Objective::kRecovery;
 
-  auto result = recovery ? tester.EvaluateRecovery(jobs, stats)
-                         : tester.EvaluateTempStorage(jobs, stats);
+  auto result = tester.Evaluate(jobs, stats, *objective);
   result.status().Check();
   std::printf("%s back-test over %zu jobs (day %d)\n",
               recovery ? "recovery" : "temp-storage", jobs.size(), t.train_days);
