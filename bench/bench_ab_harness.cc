@@ -120,13 +120,15 @@ int Run(int argc, char** argv) {
 
   for (int threads : {1, 2, 4}) {
     core::FleetAbDriver ab(make_specs(threads));
-    if (budget_gb > 0) ab.Calibrate(calibration_day).Check();
+    if (budget_gb > 0) {
+      ab.Calibrate(std::vector<core::DayContext>(ab.num_arms(), calibration_day)).Check();
+    }
     auto t0 = std::chrono::steady_clock::now();
     std::vector<core::AbDayComparison> comparisons;
     std::vector<std::string> arm_json(2);
     for (int d = 0; d < num_days; ++d) {
       core::DayContext ctx(d, days[static_cast<size_t>(d)], stats);
-      auto result = ab.RunDay(ctx);
+      auto result = ab.RunDay(std::vector<core::DayContext>(ab.num_arms(), ctx));
       result.status().Check();
       comparisons.push_back(result->comparison);
       for (size_t k = 0; k < arm_json.size(); ++k) {

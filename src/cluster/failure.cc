@@ -6,7 +6,7 @@
 namespace phoebe::cluster {
 
 FailureModel::FailureModel(const workload::JobInstance& job, double mtbf_seconds)
-    : job_(job), mtbf_seconds_(mtbf_seconds) {
+    : job_(job) {
   PHOEBE_CHECK(mtbf_seconds > 0.0);
   stage_fail_.reserve(job.truth.size());
   for (const workload::StageTruth& t : job.truth) {
@@ -27,66 +27,6 @@ double FailureModel::JobFailureProb() const {
   return 1.0 - no_fail;
 }
 
-double FailureModel::FailureAfterCutProb(const CutSet& cut) const {
-  // P_F = prod_{before} (1-p_u) * (1 - prod_{after} (1-p_u))  — eq. (35).
-  double no_fail_before = 1.0, no_fail_after = 1.0;
-  for (size_t u = 0; u < stage_fail_.size(); ++u) {
-    bool before = !cut.empty() && cut.before_cut[u];
-    if (before) no_fail_before *= (1.0 - stage_fail_[u]);
-    else no_fail_after *= (1.0 - stage_fail_[u]);
-  }
-  return no_fail_before * (1.0 - no_fail_after);
-}
-
-double FailureModel::ExpectedLossNoCheckpoint() const {
-  // Condition on exactly which stage fails first (independent approximation:
-  // weight each stage by its failure probability).
-  double weight = 0.0, loss = 0.0;
-  for (size_t u = 0; u < stage_fail_.size(); ++u) {
-    weight += stage_fail_[u];
-    loss += stage_fail_[u] * job_.truth[u].end_time;
-  }
-  return weight > 0.0 ? loss / weight : 0.0;
-}
-
-double FailureModel::ExpectedLossWithCut(const CutSet& cut) const {
-  if (cut.empty()) return ExpectedLossNoCheckpoint();
-  // Recovery line: the earliest start among after-cut stages (min TFS of
-  // Group III, constraint (34)). Work before that line is durable once the
-  // checkpoint completes.
-  double recovery_line = 0.0;
-  bool any_after = false;
-  double min_tfs_after = 0.0;
-  for (size_t u = 0; u < cut.before_cut.size(); ++u) {
-    if (!cut.before_cut[u]) {
-      double tfs = job_.truth[u].tfs;
-      if (!any_after || tfs < min_tfs_after) min_tfs_after = tfs;
-      any_after = true;
-    }
-  }
-  if (any_after) recovery_line = min_tfs_after;
-  const double clear_time = CutClearTime(job_, cut);
-
-  double weight = 0.0, loss = 0.0;
-  for (size_t u = 0; u < stage_fail_.size(); ++u) {
-    double p = stage_fail_[u];
-    if (p <= 0.0) continue;
-    double end = job_.truth[u].end_time;
-    double l;
-    if (cut.before_cut[u]) {
-      // Failure before the checkpoint completes: nothing durable yet.
-      l = end;
-    } else {
-      // Failure after the cut: if the checkpoint had completed by the time
-      // this stage ends, only work past the recovery line is lost.
-      l = (end >= clear_time) ? std::max(0.0, end - recovery_line) : end;
-    }
-    weight += p;
-    loss += p * l;
-  }
-  return weight > 0.0 ? loss / weight : 0.0;
-}
-
 double FailureModel::RecoveryLine(const CutSet& cut) const {
   double line = 0.0;
   bool any_after = false;
@@ -101,14 +41,6 @@ double FailureModel::RecoveryLine(const CutSet& cut) const {
   return any_after ? line : 0.0;
 }
 
-double FailureModel::ExpectedSavingFraction(const CutSet& cut) const {
-  if (cut.empty()) return 0.0;
-  double expected_loss = JobFailureProb() * ExpectedLossNoCheckpoint();
-  if (expected_loss <= 0.0) return 0.0;
-  double saving = FailureAfterCutProb(cut) * RecoveryLine(cut);
-  return std::clamp(saving / expected_loss, 0.0, 1.0);
-}
-
 double FailureModel::RestartSavingFraction(const CutSet& cut) const {
   if (cut.empty()) return 0.0;
   double line = RecoveryLine(cut);
@@ -120,13 +52,6 @@ double FailureModel::RestartSavingFraction(const CutSet& cut) const {
   }
   if (weight <= 0.0 || loss <= 0.0) return 0.0;
   return std::clamp(line * weight / loss, 0.0, 1.0);
-}
-
-double FailureModel::RecoverySavingFraction(const CutSet& cut) const {
-  double base = ExpectedLossNoCheckpoint();
-  if (base <= 0.0) return 0.0;
-  double with = ExpectedLossWithCut(cut);
-  return std::clamp(1.0 - with / base, 0.0, 1.0);
 }
 
 FailureSample SampleFailure(const workload::JobInstance& job, double mtbf_seconds,

@@ -24,28 +24,6 @@ class FailureModel {
   /// P(at least one stage of the job fails).
   double JobFailureProb() const;
 
-  /// P(failure in a stage after the cut AND no failure before it) — the P_F
-  /// of constraint (35).
-  double FailureAfterCutProb(const CutSet& cut) const;
-
-  /// Expected wasted work on a failure without checkpoints: E[end time of
-  /// the failed stage | some stage fails].
-  double ExpectedLossNoCheckpoint() const;
-
-  /// Expected wasted work with the cut in place: failures in stages after
-  /// the cut only lose work back to the cut's recovery line (min TFS of
-  /// after-cut stages); failures before the cut lose everything.
-  double ExpectedLossWithCut(const CutSet& cut) const;
-
-  /// Expected recovery-time saving fraction, in [0, 1]:
-  /// 1 - ExpectedLossWithCut / ExpectedLossNoCheckpoint.
-  double RecoverySavingFraction(const CutSet& cut) const;
-
-  /// The paper's §5.3 expected-saving metric: P_F * T-bar (eq. 33-35) as a
-  /// fraction of the expected loss of an uncheckpointed failure,
-  /// P(job fails) * E[end of failed stage | failure]. In [0, 1].
-  double ExpectedSavingFraction(const CutSet& cut) const;
-
   /// Minimum TFS among after-cut stages (the recovery line, eq. 34).
   double RecoveryLine(const CutSet& cut) const;
 
@@ -58,7 +36,6 @@ class FailureModel {
 
  private:
   const workload::JobInstance& job_;
-  double mtbf_seconds_;
   std::vector<double> stage_fail_;  ///< per-stage failure probability
 };
 

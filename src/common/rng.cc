@@ -110,21 +110,6 @@ int64_t Rng::Poisson(double mean) {
 
 bool Rng::Bernoulli(double p) { return Uniform() < p; }
 
-int64_t Rng::Zipf(int64_t n, double s) {
-  PHOEBE_CHECK(n >= 1);
-  // Rejection-inversion (Hörmann) would be faster; direct inversion over the
-  // harmonic CDF is fine for the small n used in workload generation.
-  double h = 0.0;
-  for (int64_t k = 1; k <= n; ++k) h += 1.0 / std::pow(static_cast<double>(k), s);
-  double u = Uniform() * h;
-  double acc = 0.0;
-  for (int64_t k = 1; k <= n; ++k) {
-    acc += 1.0 / std::pow(static_cast<double>(k), s);
-    if (acc >= u) return k;
-  }
-  return n;
-}
-
 size_t Rng::Categorical(const std::vector<double>& weights) {
   PHOEBE_CHECK(!weights.empty());
   double total = 0.0;

@@ -42,10 +42,6 @@ class Rng {
   int64_t Poisson(double mean);
   /// Bernoulli trial with probability p of returning true.
   bool Bernoulli(double p);
-  /// Zipf-distributed integer in [1, n] with exponent s (inverse-CDF on a
-  /// precomputed table is the caller's job for hot paths; this is O(n) setup
-  /// free but O(log n) per draw via rejection-free cumulative search).
-  int64_t Zipf(int64_t n, double s);
 
   /// Sample an index in [0, weights.size()) proportionally to weights.
   size_t Categorical(const std::vector<double>& weights);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 #include "common/macros.h"
 
@@ -42,57 +41,6 @@ double Quantile(std::vector<double> values, double q) {
 }
 
 double Median(std::vector<double> values) { return Quantile(std::move(values), 0.5); }
-
-Ecdf::Ecdf(std::vector<double> values) : sorted_(std::move(values)) {
-  std::sort(sorted_.begin(), sorted_.end());
-}
-
-double Ecdf::Eval(double x) const {
-  if (sorted_.empty()) return 0.0;
-  auto it = std::upper_bound(sorted_.begin(), sorted_.end(), x);
-  return static_cast<double>(it - sorted_.begin()) /
-         static_cast<double>(sorted_.size());
-}
-
-double Ecdf::Inverse(double q) const {
-  if (sorted_.empty()) return 0.0;
-  PHOEBE_CHECK(q >= 0.0 && q <= 1.0);
-  size_t idx = static_cast<size_t>(q * static_cast<double>(sorted_.size()));
-  if (idx >= sorted_.size()) idx = sorted_.size() - 1;
-  return sorted_[idx];
-}
-
-Histogram::Histogram(double lo, double hi, size_t bins) : lo_(lo), hi_(hi) {
-  PHOEBE_CHECK(hi > lo && bins > 0);
-  width_ = (hi - lo) / static_cast<double>(bins);
-  counts_.assign(bins, 0);
-}
-
-void Histogram::Add(double x) {
-  ++total_;
-  if (x < lo_) {
-    ++counts_.front();
-    return;
-  }
-  size_t bin = static_cast<size_t>((x - lo_) / width_);
-  if (bin >= counts_.size()) bin = counts_.size() - 1;
-  ++counts_[bin];
-}
-
-double Histogram::bin_lo(size_t bin) const { return lo_ + width_ * static_cast<double>(bin); }
-double Histogram::bin_hi(size_t bin) const { return lo_ + width_ * static_cast<double>(bin + 1); }
-
-std::string Histogram::ToString() const {
-  std::string out;
-  char buf[128];
-  for (size_t b = 0; b < counts_.size(); ++b) {
-    double frac = total_ ? static_cast<double>(counts_[b]) / static_cast<double>(total_) : 0.0;
-    std::snprintf(buf, sizeof(buf), "[%10.3g, %10.3g) %8zu  %6.2f%%\n", bin_lo(b),
-                  bin_hi(b), counts_[b], 100.0 * frac);
-    out += buf;
-  }
-  return out;
-}
 
 double RSquared(const std::vector<double>& y_true, const std::vector<double>& y_pred) {
   PHOEBE_CHECK(y_true.size() == y_pred.size());
@@ -136,15 +84,6 @@ double QError(double y_true, double y_pred, double eps) {
   double a = std::max(std::abs(y_true), eps);
   double b = std::max(std::abs(y_pred), eps);
   return std::max(a / b, b / a);
-}
-
-double MeanAbsoluteError(const std::vector<double>& y_true,
-                         const std::vector<double>& y_pred) {
-  PHOEBE_CHECK(y_true.size() == y_pred.size());
-  if (y_true.empty()) return 0.0;
-  double s = 0.0;
-  for (size_t i = 0; i < y_true.size(); ++i) s += std::abs(y_true[i] - y_pred[i]);
-  return s / static_cast<double>(y_true.size());
 }
 
 }  // namespace phoebe

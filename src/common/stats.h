@@ -1,10 +1,9 @@
 // Summary statistics used throughout evaluation: running moments, quantiles,
-// ECDFs, histograms, and regression-quality metrics live here so that every
-// bench reports numbers computed the same way.
+// and regression-quality metrics live here so that every bench reports
+// numbers computed the same way.
 #pragma once
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 namespace phoebe {
@@ -38,39 +37,6 @@ double Quantile(std::vector<double> values, double q);
 /// Median convenience wrapper.
 double Median(std::vector<double> values);
 
-/// \brief Empirical cumulative distribution function over a fixed sample.
-class Ecdf {
- public:
-  explicit Ecdf(std::vector<double> values);
-  /// Fraction of samples <= x.
-  double Eval(double x) const;
-  /// Inverse: the q-quantile, q in [0, 1].
-  double Inverse(double q) const;
-  size_t size() const { return sorted_.size(); }
-
- private:
-  std::vector<double> sorted_;
-};
-
-/// \brief Fixed-width histogram for reporting distributions in benches.
-class Histogram {
- public:
-  Histogram(double lo, double hi, size_t bins);
-  void Add(double x);
-  size_t bin_count() const { return counts_.size(); }
-  size_t count(size_t bin) const { return counts_[bin]; }
-  size_t total() const { return total_; }
-  double bin_lo(size_t bin) const;
-  double bin_hi(size_t bin) const;
-  /// Render as rows of "[lo, hi) count frac" for textual figures.
-  std::string ToString() const;
-
- private:
-  double lo_, hi_, width_;
-  std::vector<size_t> counts_;
-  size_t total_ = 0;
-};
-
 /// Coefficient of determination R^2 = 1 - SS_res / SS_tot.
 /// Returns 0 when the target has zero variance.
 double RSquared(const std::vector<double>& y_true, const std::vector<double>& y_pred);
@@ -82,9 +48,5 @@ double PearsonCorrelation(const std::vector<double>& x, const std::vector<double
 /// cardinality/runtime estimates (Moerkotte et al.). Values are clamped below
 /// by `eps` to keep the ratio finite.
 double QError(double y_true, double y_pred, double eps = 1e-9);
-
-/// Mean absolute error.
-double MeanAbsoluteError(const std::vector<double>& y_true,
-                         const std::vector<double>& y_pred);
 
 }  // namespace phoebe

@@ -102,15 +102,6 @@ bool StartsWith(const std::string& s, const std::string& prefix) {
   return s.size() >= prefix.size() && s.compare(0, prefix.size(), prefix) == 0;
 }
 
-bool EndsWith(const std::string& s, const std::string& suffix) {
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
-bool Contains(const std::string& s, const std::string& sub) {
-  return s.find(sub) != std::string::npos;
-}
-
 namespace {
 
 /// Quote a (possibly hostile/binary/huge) token for an error message:

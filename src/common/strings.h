@@ -60,10 +60,8 @@ std::string ToLower(std::string s);
 /// printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 
-/// True if `s` starts with / ends with / contains `sub`.
+/// True if `s` starts with `prefix`.
 bool StartsWith(const std::string& s, const std::string& prefix);
-bool EndsWith(const std::string& s, const std::string& suffix);
-bool Contains(const std::string& s, const std::string& sub);
 
 /// Strict numeric token parsers for untrusted text (fuzzed traces, external
 /// graph files). Unlike atoi/atof, they reject empty tokens, trailing junk,

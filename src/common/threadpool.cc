@@ -54,10 +54,6 @@ void ThreadPool::WorkerLoop(int worker) {
   }
 }
 
-void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& body) {
-  ParallelForWorker(n, [&body](int, size_t i) { body(i); });
-}
-
 void ThreadPool::ParallelForWorker(size_t n,
                                    const std::function<void(int, size_t)>& body) {
   if (n == 0) return;
@@ -68,7 +64,7 @@ void ThreadPool::ParallelForWorker(size_t n,
   }
   {
     std::lock_guard<std::mutex> lock(mu_);
-    PHOEBE_CHECK_MSG(busy_ == 0, "nested/concurrent ParallelFor on one pool");
+    PHOEBE_CHECK_MSG(busy_ == 0, "nested/concurrent ParallelForWorker on one pool");
     n_ = n;
     body_ = &body;
     next_.store(0, std::memory_order_relaxed);

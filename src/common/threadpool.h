@@ -22,7 +22,7 @@ namespace phoebe {
 /// \brief Fixed-size pool running index-based parallel loops.
 class ThreadPool {
  public:
-  /// \param num_threads total workers participating in ParallelFor, including
+  /// \param num_threads total workers participating in a loop, including
   /// the calling thread. Must be >= 1 (use Resolve to map a user-facing
   /// config value). 1 means "run everything inline on the caller" — no
   /// threads are spawned at all, so the pool is free to construct on the
@@ -33,21 +33,18 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Runs `body(i)` for every i in [0, n) across the pool; the calling
-  /// thread participates as a worker. Returns once every iteration has
-  /// finished. `body` must be safe to invoke concurrently for distinct
-  /// indices and must not call ParallelFor on the same pool (no nesting).
-  void ParallelFor(size_t n, const std::function<void(size_t)>& body);
-
-  /// ParallelFor that also tells the body which worker runs the iteration:
-  /// `body(worker, i)` with worker in [0, num_threads), caller = worker 0.
-  /// Which worker gets which index is scheduling-dependent — use the worker
-  /// id only for telemetry (per-thread work counts) or for indexing
-  /// per-worker scratch space, never for anything that feeds a result.
+  /// Runs `body(worker, i)` for every i in [0, n) across the pool, with
+  /// worker in [0, num_threads); the calling thread participates as worker 0.
+  /// Returns once every iteration has finished. `body` must be safe to
+  /// invoke concurrently for distinct indices and must not start another
+  /// loop on the same pool (no nesting). Which worker gets which index is
+  /// scheduling-dependent — use the worker id only for telemetry (per-thread
+  /// work counts) or for indexing per-worker scratch space, never for
+  /// anything that feeds a result.
   void ParallelForWorker(size_t n,
                          const std::function<void(int, size_t)>& body);
 
-  /// Workers participating in ParallelFor (>= 1, caller included).
+  /// Workers participating in a loop (>= 1, caller included).
   int num_threads() const { return num_threads_; }
 
   /// Maps a user-facing thread-count config to an actual count: 0 selects
@@ -65,11 +62,11 @@ class ThreadPool {
   std::mutex mu_;
   std::condition_variable work_cv_;   ///< workers wait for a new generation
   std::condition_variable done_cv_;   ///< caller waits for workers to drain
-  uint64_t generation_ = 0;           ///< bumped per ParallelFor call
+  uint64_t generation_ = 0;           ///< bumped per loop
   int busy_ = 0;                      ///< workers still inside RunIterations
   bool stop_ = false;
 
-  // Current loop; valid while busy_ > 0 or the caller is in ParallelFor.
+  // Current loop; valid while busy_ > 0 or the caller is in ParallelForWorker.
   size_t n_ = 0;
   const std::function<void(int, size_t)>* body_ = nullptr;
   std::atomic<size_t> next_{0};

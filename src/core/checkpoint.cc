@@ -355,76 +355,6 @@ Status OptimizeRecoveryInto(const dag::JobGraph& graph, const StageCosts& costs,
   return Status::OK();
 }
 
-Result<CutResult> OptimizeWeighted(const dag::JobGraph& graph, const StageCosts& costs,
-                                   double delta, double w_temp, double w_recovery) {
-  PHOEBE_RETURN_NOT_OK(costs.Validate(graph));
-  if (w_temp < 0.0 || w_recovery < 0.0 || w_temp + w_recovery <= 0.0) {
-    return Status::InvalidArgument("weights must be non-negative, not both zero");
-  }
-  if (delta < 0.0 || delta >= 1.0) {
-    return Status::InvalidArgument("delta must be in [0, 1)");
-  }
-  const size_t n = costs.size();
-  if (n < 2) return Status::InvalidArgument("graph too small to cut");
-
-  std::vector<dag::StageId> order = EndTimeOrder(costs);
-
-  // Per-prefix temp objective (the sweep) and recovery objective (P_F *
-  // min-TFS-after over the same end-time prefixes). Note the recovery
-  // optimum over TFS-prefixes can exceed the best end-time prefix; the
-  // weighted sweep trades exactness on R for a single cut family.
-  PHOEBE_ASSIGN_OR_RETURN(std::vector<SweepPoint> sweep,
-                          TempStorageSweep(graph, costs));
-
-  std::vector<double> p(n);
-  for (size_t i = 0; i < n; ++i) {
-    p[i] = std::min(0.999, delta * static_cast<double>(costs.num_tasks[i]));
-  }
-  std::vector<double> pre_nofail(n + 1, 1.0);
-  for (size_t k = 0; k < n; ++k) {
-    pre_nofail[k + 1] = pre_nofail[k] * (1.0 - p[static_cast<size_t>(order[k])]);
-  }
-  std::vector<double> suf_min_tfs(n, 0.0);
-  for (size_t k = n; k-- > 0;) {
-    double tfs = costs.tfs[static_cast<size_t>(order[k])];
-    suf_min_tfs[k] = (k == n - 1) ? tfs : std::min(suf_min_tfs[k + 1], tfs);
-  }
-  double total_nofail = pre_nofail[n];
-
-  auto recovery_obj = [&](size_t k) {  // prefix of length k (1..n-1)
-    double nofail_before = pre_nofail[k];
-    double nofail_after = total_nofail / std::max(1e-300, nofail_before);
-    return nofail_before * (1.0 - nofail_after) * suf_min_tfs[k];
-  };
-
-  // Normalizers: each objective's best value over the same prefix family.
-  double t_max = 0.0, r_max = 0.0;
-  for (size_t k = 1; k < n; ++k) {
-    t_max = std::max(t_max, sweep[k - 1].objective);
-    r_max = std::max(r_max, recovery_obj(k));
-  }
-
-  double best = 0.0;
-  size_t best_k = 0;
-  for (size_t k = 1; k < n; ++k) {
-    double t_term = t_max > 0.0 ? sweep[k - 1].objective / t_max : 0.0;
-    double r_term = r_max > 0.0 ? recovery_obj(k) / r_max : 0.0;
-    double v = w_temp * t_term + w_recovery * r_term;
-    if (v > best) {
-      best = v;
-      best_k = k;
-    }
-  }
-
-  CutResult result;
-  result.objective = best;
-  if (best_k > 0) {
-    result.cut = PrefixCut(order, best_k, n);
-    result.global_bytes = EstimateGlobalBytes(graph, costs, result.cut);
-  }
-  return result;
-}
-
 Result<CutResult> RandomCut(const dag::JobGraph& graph, const StageCosts& costs,
                             Rng* rng) {
   PHOEBE_RETURN_NOT_OK(costs.Validate(graph));

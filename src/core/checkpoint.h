@@ -141,17 +141,6 @@ Result<std::vector<CutResult>> OptimizeTempStorageMultiCut(const dag::JobGraph& 
 Result<CutResult> OptimizeRecovery(const dag::JobGraph& graph, const StageCosts& costs,
                                    double delta);
 
-/// Weighted multi-objective sweep (§5.5: the optimizer is "adaptive to
-/// different objectives"): maximize
-///   w_temp * T(cut) / T_max + w_recovery * R(cut) / R_max
-/// over end-time-prefix cuts, where T is the OptCheck1 saving, R the
-/// OptCheck2 expected recovery saving, and each term is normalized by its
-/// single-objective optimum so the weights are unitless. With one weight
-/// zero this reduces to (the prefix-family restriction of) the single
-/// objective.
-Result<CutResult> OptimizeWeighted(const dag::JobGraph& graph, const StageCosts& costs,
-                                   double delta, double w_temp, double w_recovery);
-
 // --- Baseline selectors (Figures 12 and 14). -------------------------------
 
 /// Random baseline: cut at a uniformly random prefix of the end-time order.

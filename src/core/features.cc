@@ -74,14 +74,6 @@ void StageFeaturizer::FeaturesInto(const workload::JobInstance& job, int stage_i
   }
 }
 
-ml::FeatureMatrix StageFeaturizer::JobMatrix(const workload::JobInstance& job,
-                                             const telemetry::HistoricStats& stats) const {
-  ml::FeatureMatrix m;
-  std::vector<double> row;
-  JobMatrixInto(job, stats, &row, &m);
-  return m;
-}
-
 void StageFeaturizer::JobMatrixInto(const workload::JobInstance& job,
                                     const telemetry::HistoricStats& stats,
                                     std::vector<double>* row,

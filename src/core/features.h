@@ -61,15 +61,11 @@ class StageFeaturizer {
                     std::vector<double>* row) const;
 
   /// Feature rows for *all* stages of `job` as one matrix (row i = stage i),
-  /// ready for one Regressor::PredictRowsInto call per serving model. Row i is exactly
-  /// Features(job, i, stats).
-  ml::FeatureMatrix JobMatrix(const workload::JobInstance& job,
-                              const telemetry::HistoricStats& stats) const;
-
-  /// Same matrix filled into caller-owned storage: `m` keeps its schema and
-  /// row capacity across calls (set up on first use), so repeated fills on a
-  /// warm matrix perform no allocation. `row` is the per-stage staging
-  /// buffer. Rows are bit-identical to JobMatrix.
+  /// ready for one Regressor::PredictRowsInto call per serving model. Row i
+  /// is exactly Features(job, i, stats). The matrix is caller-owned storage:
+  /// `m` keeps its schema and row capacity across calls (set up on first
+  /// use), so repeated fills on a warm matrix perform no allocation. `row` is
+  /// the per-stage staging buffer.
   void JobMatrixInto(const workload::JobInstance& job,
                      const telemetry::HistoricStats& stats,
                      std::vector<double>* row, ml::FeatureMatrix* m) const;

@@ -91,14 +91,6 @@ int CountStageFlips(const std::optional<FleetDecision>& a,
 }  // namespace
 
 Result<AbDayComparison> BuildAbDayComparison(
-    const DayContext& ctx, const std::vector<FleetArmSpec>& specs,
-    const std::vector<FleetDayDecisions>& decisions,
-    const std::vector<FleetDayReport>& reports) {
-  return BuildAbDayComparison(std::vector<DayContext>(specs.size(), ctx), specs,
-                              decisions, reports);
-}
-
-Result<AbDayComparison> BuildAbDayComparison(
     const std::vector<DayContext>& ctxs, const std::vector<FleetArmSpec>& specs,
     const std::vector<FleetDayDecisions>& decisions,
     const std::vector<FleetDayReport>& reports) {
@@ -339,11 +331,6 @@ FleetAbDriver::FleetAbDriver(std::vector<FleetArmSpec> specs)
   }
 }
 
-Status FleetAbDriver::Calibrate(const DayContext& history) {
-  PHOEBE_RETURN_NOT_OK(specs_status_);
-  return Calibrate(std::vector<DayContext>(arms_.size(), history));
-}
-
 Status FleetAbDriver::Calibrate(const std::vector<DayContext>& histories) {
   PHOEBE_RETURN_NOT_OK(specs_status_);
   if (histories.size() != arms_.size()) {
@@ -355,12 +342,6 @@ Status FleetAbDriver::Calibrate(const std::vector<DayContext>& histories) {
     PHOEBE_RETURN_NOT_OK(arms_[k]->Calibrate(histories[k]));
   }
   return Status::OK();
-}
-
-Result<std::vector<FleetDayDecisions>> FleetAbDriver::DecideDay(
-    const DayContext& ctx) const {
-  PHOEBE_RETURN_NOT_OK(specs_status_);
-  return DecideDay(std::vector<DayContext>(arms_.size(), ctx));
 }
 
 Result<std::vector<FleetDayDecisions>> FleetAbDriver::DecideDay(
@@ -380,22 +361,11 @@ Result<std::vector<FleetDayDecisions>> FleetAbDriver::DecideDay(
   return decisions;
 }
 
-Result<FleetAbDriver::AbDayResult> FleetAbDriver::RunDay(const DayContext& ctx) {
-  PHOEBE_RETURN_NOT_OK(specs_status_);
-  return RunDay(std::vector<DayContext>(arms_.size(), ctx));
-}
-
 Result<FleetAbDriver::AbDayResult> FleetAbDriver::RunDay(
     const std::vector<DayContext>& ctxs) {
   PHOEBE_ASSIGN_OR_RETURN(std::vector<FleetDayDecisions> decisions,
                           DecideDay(ctxs));
   return ReplayDay(ctxs, decisions);
-}
-
-Result<FleetAbDriver::AbDayResult> FleetAbDriver::ReplayDay(
-    const DayContext& ctx, const std::vector<FleetDayDecisions>& precomputed) {
-  PHOEBE_RETURN_NOT_OK(specs_status_);
-  return ReplayDay(std::vector<DayContext>(arms_.size(), ctx), precomputed);
 }
 
 Result<FleetAbDriver::AbDayResult> FleetAbDriver::ReplayDay(

@@ -1,6 +1,7 @@
-// Differential fleet A/B harness: N decision arms over one DayContext —
-// or, in the per-arm-context form, one DayContext per arm so scenario arms
-// can decide a differently-generated workload for the same day index.
+// Differential fleet A/B harness: N decision arms, each over its own
+// DayContext for one day index — copies of one context when the arms share a
+// workload, or per-arm contexts so scenario arms can decide a
+// differently-generated workload for the same day.
 //
 // "Is the new model/config better?" is only answerable when the
 // alternatives are costed against *identical* inputs. The arm/context split
@@ -110,21 +111,16 @@ struct AbDayComparison {
 };
 
 /// Build the paired comparison for one day from every arm's decide-phase
-/// output and replayed report. `specs`, `decisions`, and `reports` are
-/// parallel (one entry per arm, >= 1); every day must hold `ctx.jobs->size()`
-/// slots. Pure function — this is the consumer the shadow path reuses.
-Result<AbDayComparison> BuildAbDayComparison(
-    const DayContext& ctx, const std::vector<FleetArmSpec>& specs,
-    const std::vector<FleetDayDecisions>& decisions,
-    const std::vector<FleetDayReport>& reports);
-
-/// Per-arm-context form: `ctxs` holds one DayContext per arm (all sharing one
-/// day index). Scenario arms decide a differently-generated workload, so a
-/// job-slot byte diff against arm 0 is meaningless there — decision and
-/// admission flips are computed only for arms whose `jobs` pointer *is* arm
-/// 0's vector (the harness passes the identical vector for shared-context
-/// arms); other arms report zero flips but still carry saving/cost deltas.
-/// `jobs` in the result is arm 0's day size.
+/// output and replayed report. `ctxs`, `specs`, `decisions`, and `reports`
+/// are parallel (one entry per arm, >= 1); `ctxs` holds one DayContext per
+/// arm, all sharing one day index, and arm k's decisions must hold
+/// `ctxs[k].jobs->size()` slots. Pure function — this is the consumer the
+/// shadow path reuses. Scenario arms decide a differently-generated
+/// workload, so a job-slot byte diff against arm 0 is meaningless there —
+/// decision and admission flips are computed only for arms whose `jobs`
+/// pointer *is* arm 0's vector (callers pass the identical vector for
+/// shared-context arms); other arms report zero flips but still carry
+/// saving/cost deltas. `jobs` in the result is arm 0's day size.
 Result<AbDayComparison> BuildAbDayComparison(
     const std::vector<DayContext>& ctxs, const std::vector<FleetArmSpec>& specs,
     const std::vector<FleetDayDecisions>& decisions,
@@ -146,7 +142,8 @@ Result<std::vector<AbDayComparison>> ParseAbReport(const std::string& text);
 /// calibration, per-phase scratch arenas, and (when the specs carry
 /// namespaced registries) its own metric names. The driver itself owns no
 /// day state — callers build one DayContext per day and every arm decides
-/// exactly those jobs.
+/// exactly those jobs. Every day-level entry point takes one DayContext per
+/// arm; arms that share a day pass copies of one context.
 class FleetAbDriver {
  public:
   /// `specs` must hold >= 1 arm with non-null engines and unique,
@@ -159,11 +156,9 @@ class FleetAbDriver {
   DecisionArm& arm(size_t k) { return *arms_[k]; }
   const DecisionArm& arm(size_t k) const { return *arms_[k]; }
 
-  /// Calibrate every arm's admission threshold from one historical day.
-  Status Calibrate(const DayContext& history);
-
-  /// Per-arm-context form: arm k calibrates from `histories[k]` (scenario
-  /// arms calibrate against their own workload's history).
+  /// Calibrate every arm's admission threshold: arm k calibrates from
+  /// `histories[k]` (scenario arms calibrate against their own workload's
+  /// history).
   Status Calibrate(const std::vector<DayContext>& histories);
 
   /// \brief One day under every arm: per-arm decisions, per-arm reports
@@ -175,33 +170,25 @@ class FleetAbDriver {
     std::vector<FleetDayReport> reports;       ///< per arm
   };
 
-  /// Decide + replay the day under every arm. Runs each arm's decide phase
-  /// (fresh decisions, no cache interaction) and then replays cache +
-  /// admission per arm in arrival order — the same decide/replay split a
-  /// shard merge uses, so each arm's report is byte-identical to a
-  /// standalone FleetDriver::RunDay under that arm's engine and config.
-  Result<AbDayResult> RunDay(const DayContext& ctx);
-
-  /// Per-arm-context form: arm k decides + replays `ctxs[k]` (one context
-  /// per arm, all sharing one day index). This is how scenario arms run one
-  /// day under per-arm workloads; arms passed the identical jobs vector keep
-  /// the full flip diff (see BuildAbDayComparison's per-arm-context form).
+  /// Decide + replay the day under every arm: arm k decides `ctxs[k]` (one
+  /// context per arm, all sharing one day index) with fresh decisions and no
+  /// cache interaction, then replays cache + admission in arrival order —
+  /// the same decide/replay split a shard merge uses, so each arm's report
+  /// is byte-identical to a standalone FleetDriver::RunDay under that arm's
+  /// engine and config. Scenario arms run one day under per-arm workloads
+  /// this way; arms passed the identical jobs vector keep the full flip diff
+  /// (see BuildAbDayComparison).
   Result<AbDayResult> RunDay(const std::vector<DayContext>& ctxs);
 
-  /// Decide phase only, every arm — the per-arm work a shard process
-  /// performs (see fleet_shard.h's v3 per-arm sections).
-  Result<std::vector<FleetDayDecisions>> DecideDay(const DayContext& ctx) const;
-
-  /// Per-arm-context decide phase: arm k decides `ctxs[k]`.
+  /// Decide phase only, every arm: arm k decides `ctxs[k]` — the per-arm
+  /// work a shard process performs (see fleet_shard.h's v3 per-arm
+  /// sections).
   Result<std::vector<FleetDayDecisions>> DecideDay(
       const std::vector<DayContext>& ctxs) const;
 
   /// RunDay with every arm's decide phase replaced by `precomputed`
-  /// (parallel to the arms; from DecideDay, possibly in another process).
-  Result<AbDayResult> ReplayDay(const DayContext& ctx,
-                                const std::vector<FleetDayDecisions>& precomputed);
-
-  /// Per-arm-context replay: arm k replays `precomputed[k]` over `ctxs[k]`.
+  /// (parallel to the arms; from DecideDay, possibly in another process):
+  /// arm k replays `precomputed[k]` over `ctxs[k]`.
   Result<AbDayResult> ReplayDay(const std::vector<DayContext>& ctxs,
                                 const std::vector<FleetDayDecisions>& precomputed);
 

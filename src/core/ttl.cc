@@ -31,15 +31,6 @@ void TtlEstimator::StackingFeaturesInto(const SimulatedSchedule& sim,
   row->push_back(std::log1p(std::max(0.0, sim.job_end)));
 }
 
-Status TtlEstimator::Train(const std::vector<workload::JobInstance>& jobs,
-                           const telemetry::HistoricStats& stats,
-                           const StageCostPredictor& exec_predictor) {
-  std::vector<TrainExample> examples;
-  examples.reserve(jobs.size());
-  for (const workload::JobInstance& job : jobs) examples.push_back({&job, &stats});
-  return Train(examples, exec_predictor);
-}
-
 Status TtlEstimator::Train(const std::vector<TrainExample>& examples,
                            const StageCostPredictor& exec_predictor) {
   if (examples.empty()) return Status::InvalidArgument("no training jobs");

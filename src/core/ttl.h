@@ -41,11 +41,6 @@ class TtlEstimator {
   Status Train(const std::vector<TrainExample>& examples,
                const StageCostPredictor& exec_predictor);
 
-  /// Convenience: all jobs share one historic-stats view.
-  Status Train(const std::vector<workload::JobInstance>& jobs,
-               const telemetry::HistoricStats& stats,
-               const StageCostPredictor& exec_predictor);
-
   bool trained() const { return trained_; }
   size_t num_type_models() const { return per_type_.size(); }
 

@@ -7,10 +7,6 @@
 
 namespace phoebe::dag {
 
-bool Stage::HasOperator(OperatorKind kind) const {
-  return std::find(operators.begin(), operators.end(), kind) != operators.end();
-}
-
 StageId JobGraph::AddStage(Stage stage) {
   stage.id = static_cast<StageId>(stages_.size());
   stages_.push_back(std::move(stage));

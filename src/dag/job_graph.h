@@ -27,9 +27,6 @@ struct Stage {
   std::vector<OperatorKind> operators;   ///< pipeline within the stage
   int stage_type = -1;                   ///< index into the stage-type catalog
   int num_tasks = 1;                     ///< parallel tasks (v_u in the paper)
-
-  /// True if any operator matches `kind`.
-  bool HasOperator(OperatorKind kind) const;
 };
 
 /// \brief Directed edge from producer stage `from` to consumer stage `to`.

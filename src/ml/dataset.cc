@@ -1,8 +1,5 @@
 #include "ml/dataset.h"
 
-#include <algorithm>
-#include <numeric>
-
 #include "common/strings.h"
 
 namespace phoebe::ml {
@@ -17,18 +14,6 @@ std::span<const double> FeatureMatrix::Row(size_t i) const {
   return {data_.data() + i * names_.size(), names_.size()};
 }
 
-std::span<double> FeatureMatrix::MutableRow(size_t i) {
-  PHOEBE_CHECK(i < num_rows());
-  return {data_.data() + i * names_.size(), names_.size()};
-}
-
-int FeatureMatrix::FeatureIndex(const std::string& name) const {
-  for (size_t i = 0; i < names_.size(); ++i) {
-    if (names_[i] == name) return static_cast<int>(i);
-  }
-  return -1;
-}
-
 Status Dataset::Validate() const {
   if (x.num_rows() != y.size()) {
     return Status::InvalidArgument(StrFormat("feature rows (%zu) != targets (%zu)",
@@ -38,17 +23,6 @@ Status Dataset::Validate() const {
     return Status::InvalidArgument("dataset has rows but no features");
   }
   return Status::OK();
-}
-
-std::pair<Dataset, Dataset> Dataset::Split(double train_fraction, Rng* rng) const {
-  PHOEBE_CHECK(train_fraction >= 0.0 && train_fraction <= 1.0);
-  std::vector<size_t> idx(size());
-  std::iota(idx.begin(), idx.end(), 0);
-  rng->Shuffle(&idx);
-  size_t n_train = static_cast<size_t>(train_fraction * static_cast<double>(size()));
-  std::vector<size_t> train_idx(idx.begin(), idx.begin() + static_cast<long>(n_train));
-  std::vector<size_t> test_idx(idx.begin() + static_cast<long>(n_train), idx.end());
-  return {Subset(train_idx), Subset(test_idx)};
 }
 
 Dataset Dataset::Subset(const std::vector<size_t>& rows) const {

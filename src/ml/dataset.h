@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "common/rng.h"
 #include "common/status.h"
 
 namespace phoebe::ml {
@@ -31,12 +30,8 @@ class FeatureMatrix {
   void ClearRows() { data_.clear(); }
 
   std::span<const double> Row(size_t i) const;
-  std::span<double> MutableRow(size_t i);
   double At(size_t row, size_t col) const { return data_[row * names_.size() + col]; }
   void Set(size_t row, size_t col, double v) { data_[row * names_.size() + col] = v; }
-
-  /// Index of a named feature; -1 if absent.
-  int FeatureIndex(const std::string& name) const;
 
  private:
   std::vector<std::string> names_;
@@ -50,10 +45,6 @@ struct Dataset {
 
   size_t size() const { return y.size(); }
   Status Validate() const;
-
-  /// Deterministically shuffle and split into (train, test) with the given
-  /// train fraction.
-  std::pair<Dataset, Dataset> Split(double train_fraction, Rng* rng) const;
 
   /// Subset by row indices.
   Dataset Subset(const std::vector<size_t>& rows) const;

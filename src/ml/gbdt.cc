@@ -522,10 +522,4 @@ Status GbdtRegressor::FromText(std::string_view text, GbdtRegressor* out) {
   return Status::OK();
 }
 
-Result<GbdtRegressor> GbdtRegressor::FromText(const std::string& text) {
-  GbdtRegressor model;
-  PHOEBE_RETURN_NOT_OK(FromText(std::string_view(text), &model));
-  return model;
-}
-
 }  // namespace phoebe::ml

@@ -107,7 +107,7 @@ class GbdtRegressor : public Regressor {
 
   /// Serialize to a line-oriented text format; FromText round-trips it.
   std::string ToText() const;
-  /// Primary Status-first parse entry point: on error `*out` is untouched
+  /// Parse entry point: on error `*out` is untouched
   /// and the Status names what was malformed (never a crash). Every token
   /// goes through the strict parsers in common/strings.h, declared counts are
   /// capped by the lines left, and a model is rejected unless every tree has
@@ -115,8 +115,6 @@ class GbdtRegressor : public Regressor {
   /// child index points forward inside its tree — so a loaded model never
   /// reads out of bounds or loops.
   static Status FromText(std::string_view text, GbdtRegressor* out);
-  /// Deprecated shim; delegates to the two-argument overload.
-  static Result<GbdtRegressor> FromText(const std::string& text);
 
  private:
   Status FitCore(const Dataset& train, const Dataset* valid);

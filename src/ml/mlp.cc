@@ -328,10 +328,4 @@ Status MlpRegressor::FromText(std::string_view text, MlpRegressor* out) {
   return Status::OK();
 }
 
-Result<MlpRegressor> MlpRegressor::FromText(const std::string& text) {
-  MlpRegressor model;
-  PHOEBE_RETURN_NOT_OK(FromText(std::string_view(text), &model));
-  return model;
-}
-
 }  // namespace phoebe::ml

@@ -54,13 +54,11 @@ class MlpRegressor : public Regressor {
 
   /// Serialize weights and normalization to text; FromText round-trips it.
   std::string ToText() const;
-  /// Primary Status-first parse entry point: on error `*out` is untouched
+  /// Parse entry point: on error `*out` is untouched
   /// and the Status names what was malformed (never a crash). Tokens are
   /// parsed strictly, declared sizes are capped by the lines left, and the
   /// layer shapes must chain from the input width down to one output.
   static Status FromText(std::string_view text, MlpRegressor* out);
-  /// Deprecated shim; delegates to the two-argument overload.
-  static Result<MlpRegressor> FromText(const std::string& text);
 
  private:
   struct Layer {

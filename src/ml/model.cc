@@ -12,10 +12,4 @@ std::vector<double> Regressor::PredictBatch(const FeatureMatrix& x) const {
   return out;
 }
 
-void Regressor::PredictRowsInto(const FeatureMatrix& x, std::span<const size_t> rows,
-                                std::vector<double>* out) const {
-  out->resize(rows.size());
-  for (size_t k = 0; k < rows.size(); ++k) (*out)[k] = Predict(x.Row(rows[k]));
-}
-
 }  // namespace phoebe::ml

@@ -31,10 +31,9 @@ class Regressor {
   /// This is the one batch kernel and the zero-steady-state-allocation
   /// serving entry point: overrides may only touch caller-owned or
   /// per-thread buffers, so a warm caller reusing `out` triggers no heap
-  /// traffic. The base implementation is the Predict row loop; learners with
-  /// a vectorizable forward pass (GBDT, MLP) override it with a blocked one.
+  /// traffic. Each learner implements it with a blocked forward pass.
   virtual void PredictRowsInto(const FeatureMatrix& x, std::span<const size_t> rows,
-                               std::vector<double>* out) const;
+                               std::vector<double>* out) const = 0;
 
   /// Input width the model scores (the training feature count).
   virtual size_t num_features() const = 0;

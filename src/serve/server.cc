@@ -131,15 +131,13 @@ void ServeServer::Stop() {
   // 2. Half-close every live connection for reads: recv() in each reader
   // returns 0, readers finish enqueuing what they already framed and exit.
   // No request that reached the server is dropped.
-  std::vector<std::thread> readers;
+  std::list<Reader> readers;
   {
     std::lock_guard<std::mutex> lock(conns_mu_);
     for (const auto& conn : conns_) ::shutdown(conn->fd, SHUT_RD);
     readers.swap(readers_);
   }
-  for (std::thread& t : readers) {
-    if (t.joinable()) t.join();
-  }
+  for (Reader& reader : readers) reader.thread.join();
 
   // 3. Close the queue: workers drain everything still queued (responses go
   // out over the still-write-open sockets), then exit.
@@ -237,13 +235,31 @@ void ServeServer::AcceptLoop() {
     auto conn = std::make_shared<Connection>();
     conn->fd = fd;
     obs::Increment(metrics_.connections);
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    if (stopping_.load(std::memory_order_acquire)) {
-      CloseFd(fd);
-      return;
+    // Readers whose connections have ended are joined here, so the daemon
+    // holds one thread (stack + guard page) per live connection rather than
+    // one per connection it ever accepted.
+    std::list<Reader> finished;
+    {
+      std::lock_guard<std::mutex> lock(conns_mu_);
+      if (stopping_.load(std::memory_order_acquire)) {
+        CloseFd(fd);
+        return;
+      }
+      conns_.push_back(conn);
+      for (auto it = readers_.begin(); it != readers_.end();) {
+        auto next = std::next(it);
+        if (it->done.load(std::memory_order_acquire)) {
+          finished.splice(finished.end(), readers_, it);
+        }
+        it = next;
+      }
+      Reader& reader = readers_.emplace_back();
+      reader.thread = std::thread([this, conn, &reader] {
+        ReaderLoop(conn);
+        reader.done.store(true, std::memory_order_release);
+      });
     }
-    conns_.push_back(conn);
-    readers_.emplace_back([this, conn] { ReaderLoop(conn); });
+    for (Reader& reader : finished) reader.thread.join();
   }
 }
 

@@ -40,6 +40,7 @@
 #include <condition_variable>
 #include <chrono>
 #include <deque>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -125,6 +126,13 @@ class ServeServer {
     std::atomic<bool> closed{false};
   };
 
+  /// One connection's reader thread. Setting `done` is the thread's last
+  /// act, so a reader whose flag is set joins without waiting on its work.
+  struct Reader {
+    std::thread thread;
+    std::atomic<bool> done{false};
+  };
+
   /// One queued decide request. `bundle` is pinned at enqueue time: this is
   /// the request's immutable view of the model state, whatever Reload()
   /// does afterwards.
@@ -179,7 +187,9 @@ class ServeServer {
 
   std::mutex conns_mu_;
   std::vector<std::shared_ptr<Connection>> conns_;
-  std::vector<std::thread> readers_;
+  /// Live readers, plus finished ones that the next accept has yet to join
+  /// (list nodes stay put, so a running reader can hold its own `done`).
+  std::list<Reader> readers_;
 
   std::thread accept_thread_;
   std::vector<std::thread> workers_;

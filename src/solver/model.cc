@@ -27,12 +27,6 @@ void Model::SetObjective(LinearExpr expr, bool maximize) {
   maximize_ = maximize;
 }
 
-size_t Model::num_integer_variables() const {
-  size_t n = 0;
-  for (const Variable& v : variables_) n += v.integer ? 1 : 0;
-  return n;
-}
-
 Status Model::Validate() const {
   auto check_expr = [this](const LinearExpr& e) -> Status {
     for (const auto& [var, coeff] : e.terms) {

@@ -61,7 +61,6 @@ class Model {
 
   size_t num_variables() const { return variables_.size(); }
   size_t num_constraints() const { return constraints_.size(); }
-  size_t num_integer_variables() const;
 
   const std::vector<Variable>& variables() const { return variables_; }
   const std::vector<Constraint>& constraints() const { return constraints_; }

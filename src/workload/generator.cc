@@ -286,14 +286,6 @@ std::vector<JobInstance> WorkloadGenerator::GenerateDay(int day) {
   return out;
 }
 
-std::vector<std::vector<JobInstance>> WorkloadGenerator::GenerateDays(int first_day,
-                                                                      int num_days) {
-  std::vector<std::vector<JobInstance>> out;
-  out.reserve(static_cast<size_t>(num_days));
-  for (int d = 0; d < num_days; ++d) out.push_back(GenerateDay(first_day + d));
-  return out;
-}
-
 JobInstance WorkloadGenerator::MakeInstance(const JobTemplate& tmpl,
                                             const DriftState& drift, int day,
                                             int64_t job_id, Rng* rng) const {

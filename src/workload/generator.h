@@ -174,9 +174,6 @@ class WorkloadGenerator {
   /// All job instances submitted on `day` (0-based).
   std::vector<JobInstance> GenerateDay(int day);
 
-  /// Convenience: a span of consecutive days.
-  std::vector<std::vector<JobInstance>> GenerateDays(int first_day, int num_days);
-
   /// Aggregate per-day scale factors (exposed for the Figure 1 bench).
   double InputScale(int day) const;
 

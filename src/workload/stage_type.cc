@@ -112,10 +112,4 @@ const std::vector<int>& InteriorStageTypes() {
   return kIds;
 }
 
-const std::vector<int>& MultiInputStageTypes() {
-  static const std::vector<int> kIds =
-      Filtered([](const StageTypeInfo& t) { return t.needs_multi_input; });
-  return kIds;
-}
-
 }  // namespace phoebe::workload

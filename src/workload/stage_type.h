@@ -42,7 +42,6 @@ inline constexpr int kNumStageTypes = 33;
 /// precomputed for the generator.
 const std::vector<int>& SourceStageTypes();
 const std::vector<int>& SinkStageTypes();
-const std::vector<int>& InteriorStageTypes();      ///< neither source nor sink
-const std::vector<int>& MultiInputStageTypes();    ///< interior with >= 2 inputs
+const std::vector<int>& InteriorStageTypes();  ///< neither source nor sink
 
 }  // namespace phoebe::workload

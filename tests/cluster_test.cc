@@ -215,47 +215,6 @@ TEST(FailureTest, JobFailureProbMatchesProduct) {
   EXPECT_NEAR(fm.JobFailureProb(), 1.0 - no_fail, 1e-12);
 }
 
-TEST(FailureTest, FailureAfterCutPartitions) {
-  auto gen = MakeGen();
-  auto jobs = gen.GenerateDay(0);
-  const auto& job = jobs[0];
-  FailureModel fm(job, 3600.0 * 12);
-  CutSet cut = HalfCut(job);
-  double pf = fm.FailureAfterCutProb(cut);
-  EXPECT_GE(pf, 0.0);
-  EXPECT_LE(pf, fm.JobFailureProb() + 1e-12);
-  // With an empty cut, "after" is everything: P_F = P(job fails).
-  CutSet empty;
-  empty.before_cut.assign(job.graph.num_stages(), false);
-  EXPECT_NEAR(fm.FailureAfterCutProb(empty), fm.JobFailureProb(), 1e-12);
-}
-
-TEST(FailureTest, RecoverySavingWithinBounds) {
-  auto gen = MakeGen();
-  auto jobs = gen.GenerateDay(0);
-  for (const auto& job : jobs) {
-    if (job.graph.num_stages() < 4) continue;
-    FailureModel fm(job, 3600.0 * 12);
-    CutSet cut = HalfCut(job);
-    double s = fm.RecoverySavingFraction(cut);
-    EXPECT_GE(s, 0.0);
-    EXPECT_LE(s, 1.0);
-    // Empty cut saves nothing.
-    EXPECT_DOUBLE_EQ(fm.RecoverySavingFraction(CutSet{}), 0.0);
-  }
-}
-
-TEST(FailureTest, ExpectedLossReducedByCut) {
-  auto gen = MakeGen();
-  auto jobs = gen.GenerateDay(0);
-  for (const auto& job : jobs) {
-    if (job.graph.num_stages() < 4) continue;
-    FailureModel fm(job, 3600.0 * 12);
-    CutSet cut = HalfCut(job);
-    EXPECT_LE(fm.ExpectedLossWithCut(cut), fm.ExpectedLossNoCheckpoint() + 1e-9);
-  }
-}
-
 TEST(FailureTest, SampleFailureDeterministicAndPlausible) {
   auto gen = MakeGen();
   auto jobs = gen.GenerateDay(0);
@@ -365,12 +324,6 @@ TEST(RestartSavingTest, BoundsAndEmptyCut) {
     EXPECT_GE(s, 0.0);
     EXPECT_LE(s, 1.0);
     EXPECT_DOUBLE_EQ(fm.RestartSavingFraction(CutSet{}), 0.0);
-    double e = fm.ExpectedSavingFraction(cut);
-    EXPECT_GE(e, 0.0);
-    EXPECT_LE(e, 1.0);
-    EXPECT_DOUBLE_EQ(fm.ExpectedSavingFraction(CutSet{}), 0.0);
-    // The unconditional expectation cannot exceed the conditional saving.
-    EXPECT_LE(e, s + 1e-9);
   }
 }
 

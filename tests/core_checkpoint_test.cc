@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <numeric>
 
 #include "common/rng.h"
 #include "core/checkpoint.h"
@@ -179,65 +178,6 @@ TEST(SweepTest, MatchesOptimizerAndIsWellFormed) {
     max_obj = std::max(max_obj, (*sweep)[k].objective);
   }
   EXPECT_DOUBLE_EQ(best->objective, max_obj);
-}
-
-// ---------- Weighted multi-objective ----------
-
-class WeightedObjectiveTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(WeightedObjectiveTest, ExtremesReduceToSingleObjectives) {
-  TestJob t = RandomJob(static_cast<uint64_t>(GetParam()) * 53 + 2, 4, 12);
-  const double delta = 0.002;
-
-  // Pure temp weight recovers the OptCheck1 optimum.
-  auto temp_only = OptimizeWeighted(t.graph, t.costs, delta, 1.0, 0.0);
-  auto temp_ref = OptimizeTempStorage(t.graph, t.costs);
-  ASSERT_TRUE(temp_only.ok());
-  ASSERT_TRUE(temp_ref.ok());
-  if (!temp_ref->cut.empty()) {
-    EXPECT_EQ(temp_only->cut.before_cut, temp_ref->cut.before_cut);
-  }
-
-  // Pure recovery weight: evaluate the chosen cut under the recovery
-  // objective; it must match the best end-time prefix.
-  auto rec_only = OptimizeWeighted(t.graph, t.costs, delta, 0.0, 1.0);
-  ASSERT_TRUE(rec_only.ok());
-  if (!rec_only->cut.empty()) {
-    double chosen = RecoveryObjective(t.costs, rec_only->cut.before_cut, delta);
-    // No end-time prefix beats it (TFS prefixes may).
-    const size_t n = t.costs.size();
-    std::vector<size_t> idx(n);
-    std::iota(idx.begin(), idx.end(), 0);
-    std::sort(idx.begin(), idx.end(), [&](size_t a, size_t b) {
-      return t.costs.end_time[a] < t.costs.end_time[b];
-    });
-    std::vector<bool> z(n, false);
-    for (size_t k = 0; k + 1 < n; ++k) {
-      z[idx[k]] = true;
-      EXPECT_LE(RecoveryObjective(t.costs, z, delta), chosen + 1e-9);
-    }
-  }
-}
-
-TEST_P(WeightedObjectiveTest, MixedWeightInterpolates) {
-  TestJob t = RandomJob(static_cast<uint64_t>(GetParam()) * 59 + 7, 5, 12);
-  const double delta = 0.002;
-  auto mixed = OptimizeWeighted(t.graph, t.costs, delta, 0.5, 0.5);
-  ASSERT_TRUE(mixed.ok());
-  if (mixed->cut.empty()) return;
-  // The mixed cut's normalized score must be at least max(w_t, w_r) * the
-  // better single-objective share it could get by copying either extreme.
-  EXPECT_GE(mixed->objective, 0.5 - 1e-9);
-  EXPECT_LE(mixed->objective, 1.0 + 1e-9);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, WeightedObjectiveTest, ::testing::Range(0, 10));
-
-TEST(WeightedObjectiveTest, RejectsBadWeights) {
-  TestJob t = RandomJob(9, 4, 8);
-  EXPECT_FALSE(OptimizeWeighted(t.graph, t.costs, 0.001, -1.0, 1.0).ok());
-  EXPECT_FALSE(OptimizeWeighted(t.graph, t.costs, 0.001, 0.0, 0.0).ok());
-  EXPECT_FALSE(OptimizeWeighted(t.graph, t.costs, 1.5, 1.0, 1.0).ok());
 }
 
 // ---------- Multi-cut DP ----------

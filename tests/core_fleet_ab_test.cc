@@ -23,6 +23,11 @@ namespace {
 constexpr int kTrainDays = 3;
 constexpr int kFleetDays = 4;  ///< test days kTrainDays..kTrainDays+3
 
+/// One copy of `ctx` per arm: every arm decides the same jobs.
+std::vector<DayContext> PerArm(const FleetAbDriver& driver, const DayContext& ctx) {
+  return std::vector<DayContext>(driver.num_arms(), ctx);
+}
+
 class FleetAbFixture : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -81,7 +86,7 @@ class FleetAbFixture : public ::testing::Test {
     if (budgeted) {
       const auto& history = FleetDay(-1);
       auto history_stats = FleetStats(-1);
-      driver.Calibrate(DayContext(-1, history, history_stats)).Check();
+      driver.Calibrate(PerArm(driver, DayContext(-1, history, history_stats))).Check();
     }
 
     std::vector<AbDayComparison> days;
@@ -89,7 +94,7 @@ class FleetAbFixture : public ::testing::Test {
       for (int d = 0; d < kFleetDays; ++d) {
         const auto& jobs = FleetDay(d);
         auto stats = FleetStats(d);
-        auto result = driver.RunDay(DayContext(d, jobs, stats));
+        auto result = driver.RunDay(PerArm(driver, DayContext(d, jobs, stats)));
         result.status().Check();
         days.push_back(std::move(result->comparison));
       }
@@ -107,7 +112,8 @@ class FleetAbFixture : public ::testing::Test {
         if (!ShardOwnsDay(d, s, shard_count)) continue;
         const auto& jobs = FleetDay(d);
         auto stats = FleetStats(d);
-        auto decisions = shard_driver.DecideDay(DayContext(d, jobs, stats));
+        auto decisions =
+            shard_driver.DecideDay(PerArm(shard_driver, DayContext(d, jobs, stats)));
         decisions.status().Check();
         for (size_t k = 1; k < decisions->size(); ++k) {
           arm_days[d].emplace(static_cast<int>(k), std::move((*decisions)[k]));
@@ -130,7 +136,8 @@ class FleetAbFixture : public ::testing::Test {
       std::vector<FleetDayDecisions> precomputed;
       precomputed.push_back(std::move(merged->days.at(d)));
       precomputed.push_back(std::move(merged->arm_days.at(d).at(1)));
-      auto result = driver.ReplayDay(DayContext(d, jobs, stats), precomputed);
+      auto result =
+          driver.ReplayDay(PerArm(driver, DayContext(d, jobs, stats)), precomputed);
       result.status().Check();
       days.push_back(std::move(result->comparison));
     }
@@ -162,14 +169,14 @@ TEST_F(FleetAbFixture, FleetAbArmReportsMatchStandaloneDriverBytes) {
     if (budgeted) {
       const auto& history = FleetDay(-1);
       auto history_stats = FleetStats(-1);
-      ab.Calibrate(DayContext(-1, history, history_stats)).Check();
+      ab.Calibrate(PerArm(ab, DayContext(-1, history, history_stats))).Check();
       solo_base.Calibrate(history, history_stats).Check();
       solo_twocut.Calibrate(history, history_stats).Check();
     }
     for (int d = 0; d < kFleetDays; ++d) {
       const auto& jobs = FleetDay(d);
       auto stats = FleetStats(d);
-      auto result = ab.RunDay(DayContext(d, jobs, stats));
+      auto result = ab.RunDay(PerArm(ab, DayContext(d, jobs, stats)));
       result.status().Check();
       auto base_report = solo_base.RunDay(jobs, stats);
       base_report.status().Check();
@@ -216,7 +223,7 @@ TEST_F(FleetAbFixture, FleetAbIdenticalArmsProduceZeroDiff) {
   for (int d = 0; d < kFleetDays; ++d) {
     const auto& jobs = FleetDay(d);
     auto stats = FleetStats(d);
-    auto result = driver.RunDay(DayContext(d, jobs, stats));
+    auto result = driver.RunDay(PerArm(driver, DayContext(d, jobs, stats)));
     result.status().Check();
     const AbDayComparison& cmp = result->comparison;
     ASSERT_EQ(cmp.arms.size(), 2u);
@@ -263,7 +270,7 @@ TEST_F(FleetAbFixture, FleetAbRejectsInvalidSpecs) {
     FleetAbDriver driver(std::move(specs));
     const auto& jobs = FleetDay(0);
     auto stats = FleetStats(0);
-    return driver.RunDay(DayContext(0, jobs, stats)).status();
+    return driver.RunDay(PerArm(driver, DayContext(0, jobs, stats))).status();
   };
   EXPECT_FALSE(run({}).ok());
   EXPECT_FALSE(run({{"a", nullptr, base, 0}}).ok());

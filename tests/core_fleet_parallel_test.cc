@@ -32,21 +32,25 @@ TEST(ThreadPoolTest, ParallelForCoversEveryIndexOnce) {
     ThreadPool pool(threads);
     EXPECT_EQ(pool.num_threads(), threads);
     std::vector<std::atomic<int>> hits(997);
-    pool.ParallelFor(hits.size(),
-                     [&](size_t i) { hits[i].fetch_add(1, std::memory_order_relaxed); });
+    std::atomic<int> bad_worker{0};
+    pool.ParallelForWorker(hits.size(), [&](int worker, size_t i) {
+      if (worker < 0 || worker >= threads) bad_worker.fetch_add(1);
+      hits[i].fetch_add(1, std::memory_order_relaxed);
+    });
     for (size_t i = 0; i < hits.size(); ++i) {
       ASSERT_EQ(hits[i].load(), 1) << "index " << i << " with " << threads;
     }
+    EXPECT_EQ(bad_worker.load(), 0) << threads;
   }
 }
 
 TEST(ThreadPoolTest, ParallelForHandlesEmptyAndTiny) {
   ThreadPool pool(4);
   int calls = 0;
-  pool.ParallelFor(0, [&](size_t) { ++calls; });
+  pool.ParallelForWorker(0, [&](int, size_t) { ++calls; });
   EXPECT_EQ(calls, 0);
   std::atomic<int> tiny{0};
-  pool.ParallelFor(2, [&](size_t) { tiny.fetch_add(1); });
+  pool.ParallelForWorker(2, [&](int, size_t) { tiny.fetch_add(1); });
   EXPECT_EQ(tiny.load(), 2);
 }
 
@@ -54,7 +58,7 @@ TEST(ThreadPoolTest, PoolIsReusableAcrossCalls) {
   ThreadPool pool(3);
   for (int round = 0; round < 50; ++round) {
     std::atomic<size_t> sum{0};
-    pool.ParallelFor(100, [&](size_t i) { sum.fetch_add(i + 1); });
+    pool.ParallelForWorker(100, [&](int, size_t i) { sum.fetch_add(i + 1); });
     ASSERT_EQ(sum.load(), 5050u);
   }
 }

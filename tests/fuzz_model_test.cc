@@ -1,5 +1,5 @@
 // Corruption fuzzing of the model-text parsers, with no checksum in the way:
-// GbdtRegressor, MlpRegressor and RidgeRegressor FromText, the
+// GbdtRegressor and MlpRegressor FromText, the
 // StageCostPredictor and TtlEstimator loaders, and HistoricStats::FromText.
 // A bundle's CRC only catches accidental damage, so each parser must be
 // total on its own: any input either loads a model that is safe to score or
@@ -27,7 +27,6 @@
 #include "core/simulator.h"
 #include "core/ttl.h"
 #include "ml/gbdt.h"
-#include "ml/linear.h"
 #include "ml/mlp.h"
 #include "telemetry/repository.h"
 #include "testing/fuzz.h"
@@ -157,7 +156,6 @@ const std::vector<Kind>& Kinds() {
   static const std::vector<Kind> kinds = {
       {".gbdt", ParseLearner<ml::GbdtRegressor>},
       {".mlp", ParseLearner<ml::MlpRegressor>},
-      {".ridge", ParseLearner<ml::RidgeRegressor>},
       {".predictor", ParsePredictor},
       {".ttl", ParseTtl},
       {".stats", ParseStats},
@@ -195,7 +193,6 @@ TEST(FuzzModelCorpusTest, ProbesAreRejectedForTheirOwnDefect) {
       {"mlp_layer_bomb.mlp", "layer shape"},
       {"mlp_layer_shape_mismatch.mlp", "layer shape"},
       {"mlp_weight_count_bomb.mlp", "mlp weights"},
-      {"ridge_weight_count_bomb.ridge", "ridge weights"},
       {"predictor_type_width_mismatch.predictor", "feature width"},
       {"ttl_width_mismatch.ttl", "feature width"},
       {"stats_entry_count_bomb.stats", "template-type entries"},

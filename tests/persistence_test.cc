@@ -8,7 +8,6 @@
 
 #include "common/rng.h"
 #include "core/pipeline.h"
-#include "ml/linear.h"
 #include "ml/mlp.h"
 #include "telemetry/repository.h"
 #include "workload/generator.h"
@@ -38,23 +37,6 @@ ml::Dataset ToyData(size_t n, uint64_t seed) {
   return ds;
 }
 
-TEST(RidgeSerializationTest, RoundTrip) {
-  ml::Dataset ds = ToyData(300, 1);
-  ml::RidgeRegressor model;
-  ASSERT_TRUE(model.Fit(ds).ok());
-  auto restored = ml::RidgeRegressor::FromText(model.ToText());
-  ASSERT_TRUE(restored.ok());
-  for (size_t i = 0; i < 20; ++i) {
-    EXPECT_DOUBLE_EQ(model.Predict(ds.x.Row(i)), restored->Predict(ds.x.Row(i)));
-  }
-}
-
-TEST(RidgeSerializationTest, RejectsGarbage) {
-  EXPECT_FALSE(ml::RidgeRegressor::FromText("").ok());
-  EXPECT_FALSE(ml::RidgeRegressor::FromText("gbdt 1 2 3").ok());
-  EXPECT_FALSE(ml::RidgeRegressor::FromText("ridge 3 0.5\nw 1\n").ok());  // truncated
-}
-
 TEST(MlpSerializationTest, RoundTrip) {
   ml::Dataset ds = ToyData(300, 2);
   ml::MlpParams p;
@@ -62,16 +44,17 @@ TEST(MlpSerializationTest, RoundTrip) {
   p.epochs = 5;
   ml::MlpRegressor model(p);
   ASSERT_TRUE(model.Fit(ds).ok());
-  auto restored = ml::MlpRegressor::FromText(model.ToText());
-  ASSERT_TRUE(restored.ok());
+  ml::MlpRegressor restored;
+  ASSERT_TRUE(ml::MlpRegressor::FromText(model.ToText(), &restored).ok());
   for (size_t i = 0; i < 20; ++i) {
-    EXPECT_DOUBLE_EQ(model.Predict(ds.x.Row(i)), restored->Predict(ds.x.Row(i)));
+    EXPECT_DOUBLE_EQ(model.Predict(ds.x.Row(i)), restored.Predict(ds.x.Row(i)));
   }
 }
 
 TEST(MlpSerializationTest, RejectsGarbage) {
-  EXPECT_FALSE(ml::MlpRegressor::FromText("").ok());
-  EXPECT_FALSE(ml::MlpRegressor::FromText("mlp 2 1 0 1\nnorm 0 1\n").ok());
+  ml::MlpRegressor model;
+  EXPECT_FALSE(ml::MlpRegressor::FromText("", &model).ok());
+  EXPECT_FALSE(ml::MlpRegressor::FromText("mlp 2 1 0 1\nnorm 0 1\n", &model).ok());
 }
 
 class CorePersistenceTest : public ::testing::Test {

@@ -2,9 +2,8 @@
 // path rests on:
 //   1. Regressor::PredictRowsInto (and PredictBatch on top of it) is
 //      *bit-equal* to the row-wise Predict for every learner
-//      (flattened-forest GBDT, blocked MLP, ridge via the base-class row
-//      loop), across randomized fitted models and matrices — including the
-//      0-row and 1-row edges.
+//      (flattened-forest GBDT, blocked MLP), across randomized fitted models
+//      and matrices — including the 0-row and 1-row edges.
 //   2. ScoreByStageType routes each stage to its stage type's model or the
 //      general fallback, and StageCostPredictor::PredictJob equals the
 //      per-stage PredictStage reference bit for bit for every model kind.
@@ -24,7 +23,6 @@
 #include "core/fleet.h"
 #include "core/pipeline.h"
 #include "ml/gbdt.h"
-#include "ml/linear.h"
 #include "ml/mlp.h"
 #include "telemetry/repository.h"
 #include "testing/property.h"
@@ -117,9 +115,9 @@ TEST(PropBatchInferenceTest, GbdtBatchMatchesScalarAfterTextRoundTrip) {
   p.min_data_in_leaf = 10;
   ml::GbdtRegressor model(p);
   ASSERT_TRUE(model.Fit(RandomDataset(300, 4, 99)).ok());
-  auto restored = ml::GbdtRegressor::FromText(model.ToText());
-  ASSERT_TRUE(restored.ok());
-  ExpectBatchBitEqual(*restored, RandomMatrix(97, 4, 100));
+  ml::GbdtRegressor restored;
+  ASSERT_TRUE(ml::GbdtRegressor::FromText(model.ToText(), &restored).ok());
+  ExpectBatchBitEqual(restored, RandomMatrix(97, 4, 100));
 }
 
 TEST(PropBatchInferenceTest, MlpBatchMatchesScalarAcrossRandomModels) {
@@ -146,16 +144,6 @@ TEST(PropBatchInferenceTest, MlpBatchMatchesScalarAcrossRandomModels) {
   }
 }
 
-TEST(PropBatchInferenceTest, RidgeBatchMatchesScalar) {
-  // Ridge uses the Regressor base-class row loop — trivially equal, but the
-  // test pins that the base kernel stays wired for every learner.
-  ml::RidgeRegressor model;
-  ASSERT_TRUE(model.Fit(RandomDataset(120, 3, 7)).ok());
-  for (size_t rows : {size_t{0}, size_t{1}, size_t{50}}) {
-    ExpectBatchBitEqual(model, RandomMatrix(rows, 3, rows + 8));
-  }
-}
-
 // ---------------------------------------------------------------------------
 // ScoreByStageType: the one stage router both cost stacks share.
 // ---------------------------------------------------------------------------
@@ -176,7 +164,12 @@ class ScoreByStageTypeTest : public ::testing::Test {
       ASSERT_TRUE(m.Fit(RandomDataset(80, kCols, p.seed)).ok());
       per_type_.emplace(type, std::move(m));
     }
-    ASSERT_TRUE(general_.Fit(RandomDataset(80, kCols, 49)).ok());
+    ml::GbdtParams p;
+    p.num_trees = 5;
+    p.min_data_in_leaf = 5;
+    p.seed = 49;
+    general_ = ml::GbdtRegressor(p);
+    ASSERT_TRUE(general_.Fit(RandomDataset(80, kCols, p.seed)).ok());
   }
 
   /// Routes a job of the given stage types and checks every score against
@@ -209,7 +202,7 @@ class ScoreByStageTypeTest : public ::testing::Test {
   }
 
   std::map<int, ml::GbdtRegressor> per_type_;
-  ml::RidgeRegressor general_;
+  ml::GbdtRegressor general_;
   core::PredictScratch scratch_;  // reused across Route calls, as in serving
 };
 

@@ -270,31 +270,6 @@ TEST(PropCheckpointTest, SweepMaximumEqualsOptimum) {
   EXPECT_TRUE(report.ok) << report.Describe();
 }
 
-// OptimizeWeighted with full weight on the temp objective selects the same
-// cut as the dedicated sweep (the normalization is a monotone transform).
-TEST(PropCheckpointTest, WeightedSweepReducesToSingleObjective) {
-  PropertyOptions opt;
-  opt.num_cases = 150;
-  opt.seed = 0x77aa;
-  opt.graph.min_stages = 2;
-  opt.graph.max_stages = 30;
-  auto prop = [](const JobCase& c) -> Status {
-    if (c.graph.num_stages() < 2) return Status::OK();
-    PHOEBE_ASSIGN_OR_RETURN(CutResult temp, OptimizeTempStorage(c.graph, c.costs));
-    PHOEBE_ASSIGN_OR_RETURN(
-        CutResult weighted,
-        core::OptimizeWeighted(c.graph, c.costs, /*delta=*/1e-4, /*w_temp=*/1.0,
-                               /*w_recovery=*/0.0));
-    if (temp.cut.empty() || weighted.cut.empty()) return Status::OK();
-    if (temp.cut.before_cut != weighted.cut.before_cut) {
-      return Status::Internal("weighted (1, 0) picked a different cut than the sweep");
-    }
-    return Status::OK();
-  };
-  auto report = CheckProperty(opt, prop);
-  EXPECT_TRUE(report.ok) << report.Describe();
-}
-
 // Recovery sweep sanity: valid cut, objective within the trivial bound
 // P_F * T-bar <= 1 * max TFS.
 TEST(PropCheckpointTest, RecoveryCutIsValidAndBounded) {

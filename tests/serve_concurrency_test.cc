@@ -8,12 +8,17 @@
 //     must leave every response carrying the one true checksum, because each
 //     request pins its bundle at enqueue;
 //   * pipelined frames on one connection all come back, ids intact, even
-//     when workers complete them out of order.
+//     when workers complete them out of order;
+//   * a daemon that has served many short connections holds threads only
+//     for the live ones.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <string>
@@ -76,6 +81,14 @@ class ServeConcurrencyTest : public ::testing::Test {
 std::string* ServeConcurrencyTest::bundle_path_ = nullptr;
 std::shared_ptr<const core::PipelineBundle>* ServeConcurrencyTest::bundle_ = nullptr;
 std::vector<workload::JobInstance>* ServeConcurrencyTest::jobs_ = nullptr;
+
+/// Memory mappings of this process. A thread's stack and guard page stay
+/// mapped until it is joined, even after it exits.
+size_t CountMaps() {
+  std::ifstream maps("/proc/self/maps");
+  return static_cast<size_t>(
+      std::count(std::istreambuf_iterator<char>(maps), std::istreambuf_iterator<char>(), '\n'));
+}
 
 TEST_F(ServeConcurrencyTest, ManyClientsWithInterleavedReloadsDropNothing) {
   obs::MetricsRegistry registry;
@@ -209,6 +222,31 @@ TEST_F(ServeConcurrencyTest, TinyQueueBackpressureStillAnswersEverything) {
     seen[frame->id] += 1;
   }
   EXPECT_EQ(seen.size(), kBurst);
+  server.Stop();
+}
+
+// Each connection gets a reader thread; the server must join it once the
+// connection ends, or a long-running daemon keeps two mappings per client it
+// ever served and eventually cannot start a thread. Counting threads cannot
+// see the leak: exited threads leave /proc/self/task while their stacks stay
+// mapped.
+TEST_F(ServeConcurrencyTest, SequentialConnectionsReapFinishedReaders) {
+  ServeConfig cfg;
+  cfg.bundle_path = *bundle_path_;
+  ServeServer server(*bundle_, cfg);
+  ASSERT_TRUE(server.Start().ok());
+  auto ping_and_close = [&] {
+    ServeClient client;
+    return client.Connect(server.port()).ok() && client.Ping().ok();
+  };
+  // Warm the allocator and the thread-stack cache before the baseline.
+  for (int i = 0; i < 50; ++i) ASSERT_TRUE(ping_and_close()) << i;
+  const size_t before = CountMaps();
+  constexpr int kConnections = 1000;
+  for (int i = 0; i < kConnections; ++i) ASSERT_TRUE(ping_and_close()) << i;
+  const size_t after = CountMaps();
+  EXPECT_LT(after, before + 64) << "maps " << before << " -> " << after << " over "
+                                << kConnections << " connections";
   server.Stop();
 }
 

@@ -30,14 +30,6 @@ TEST(ModelTest, ValidateCatchesBadBounds) {
   EXPECT_FALSE(m.Validate().ok());
 }
 
-TEST(ModelTest, CountsIntegers) {
-  Model m;
-  m.AddContinuous(0, 1);
-  m.AddBinary();
-  m.AddInteger(0, 5);
-  EXPECT_EQ(m.num_integer_variables(), 2u);
-}
-
 // ---------- LP ----------
 
 TEST(LpTest, SimpleMaximization) {

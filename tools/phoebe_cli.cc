@@ -141,6 +141,30 @@ Result<core::Objective> ParseObjective(const std::string& value) {
   std::exit(2);
 }
 
+/// The flag group `fleet`, `fleet-ab` and `lifecycle` share: the knobs
+/// FleetConfigOrExit reads plus --metrics. `with_budget` marks the day-driver
+/// commands (`fleet`, `fleet-ab`), which also take --budget-gb and the
+/// --shard/--out/--merge trio.
+void AddFleetFlags(ArgParser& p, bool with_budget) {
+  p.AddInt("threads", 1, "decision threads (0 = all cores; reports are "
+           "byte-identical for any value)");
+  p.AddInt("num-cuts", 1, "checkpoint cuts per job");
+  p.AddString("objective", "temp", "optimization objective: temp|recovery");
+  p.AddInt("template-cache", 0, "recurring-template decision cache capacity "
+           "(0 = disabled)");
+  p.AddInt("cache-bps", 0, "cache input-size drift tolerance in basis points "
+           "(0 = exact, byte-neutral)");
+  p.AddString("metrics", "", "write per-day telemetry JSON lines (and a final "
+              "cumulative 'run' line) to this file");
+  if (!with_budget) return;
+  p.AddDouble("budget-gb", 0.0, "global storage budget in GB (0 = unlimited)");
+  p.AddString("shard", "", "I/N decide-only mode: decide days d with d%N==I "
+              "and write a blob to --out");
+  p.AddString("out", "", "output blob path for --shard");
+  p.AddString("merge", "", "comma-separated shard blobs to replay into "
+              "byte-identical reports");
+}
+
 /// The FleetConfig `fleet`, `fleet-ab` and `lifecycle` build from their
 /// shared flags: --objective, --num-cuts, --threads, --template-cache,
 /// --cache-bps and, when `with_budget` (the command declares it),
@@ -180,16 +204,77 @@ core::FleetConfig FleetConfigOrExit(const ArgParser& p, bool with_budget) {
   return cfg;
 }
 
+/// The --shard I/N decide-only target; `count` is 0 when --shard is absent.
+struct ShardTarget {
+  int32_t index = -1;
+  int32_t count = 0;
+  std::string out;  ///< blob path (--out)
+};
+
 /// --shard writes a blob to --out and exits; --merge replays blobs. Either
-/// flag without its counterpart would be silently ignored, so exit 2.
-void CheckShardFlagsOrExit(const ArgParser& p) {
-  const bool shard = !p.GetString("shard").empty();
-  if (!shard && !p.GetString("out").empty()) {
-    UsageErrorExit("--out names the --shard blob; it needs --shard I/N");
+/// flag without its counterpart would be silently ignored, so exit 2; so does
+/// a --shard value that is not I/N with 0 <= I < N.
+ShardTarget ShardTargetOrExit(const ArgParser& p, const char* command) {
+  const std::string shard = p.GetString("shard");
+  ShardTarget target;
+  target.out = p.GetString("out");
+  if (shard.empty()) {
+    if (!target.out.empty()) {
+      UsageErrorExit("--out names the --shard blob; it needs --shard I/N");
+    }
+    return target;
   }
-  if (shard && !p.GetString("merge").empty()) {
+  if (!p.GetString("merge").empty()) {
     UsageErrorExit("--shard decides and writes a blob; it cannot also --merge");
   }
+  std::vector<std::string> parts = Split(shard, '/');
+  if (parts.size() != 2 || !ParseInt32(parts[0], &target.index).ok() ||
+      !ParseInt32(parts[1], &target.count).ok() || target.count < 1 ||
+      target.index < 0 || target.index >= target.count) {
+    UsageErrorExit(
+        StrFormat("--shard expects I/N with 0 <= I < N, got '%s'", shard.c_str()));
+  }
+  if (target.out.empty()) {
+    UsageErrorExit(StrFormat("%s --shard requires --out <file>", command));
+  }
+  return target;
+}
+
+/// Read and parse every blob named by --merge (comma-separated) and combine
+/// them against the serving bundle. Returns false with the exit `*code` set
+/// (1 = unreadable or malformed blob, 2 = the blobs cover a different
+/// --days) after printing why.
+bool CombineShardBlobs(const std::string& merge, int num_days, uint32_t bundle_checksum,
+                       core::CombinedFleetShards* out, int* code) {
+  std::vector<core::FleetShardBlob> blobs;
+  for (const std::string& path : Split(merge, ',')) {
+    std::ifstream f(path, std::ios::binary);
+    if (!f) {
+      std::fprintf(stderr, "cannot open '%s'\n", path.c_str());
+      *code = 1;
+      return false;
+    }
+    std::string text((std::istreambuf_iterator<char>(f)),
+                     std::istreambuf_iterator<char>());
+    auto blob = core::ParseFleetShard(text);
+    if (!blob.ok()) {
+      std::fprintf(stderr, "parse error in '%s': %s\n", path.c_str(),
+                   blob.status().ToString().c_str());
+      *code = 1;
+      return false;
+    }
+    blobs.push_back(std::move(*blob));
+  }
+  if (blobs.front().header.num_days != num_days) {
+    std::fprintf(stderr, "shard blobs cover %d day(s); pass --days %d\n",
+                 blobs.front().header.num_days, blobs.front().header.num_days);
+    *code = 2;
+    return false;
+  }
+  auto combined = core::CombineFleetShards(blobs, bundle_checksum);
+  combined.status().Check();
+  *out = std::move(*combined);
+  return true;
 }
 
 int CmdGenerate(int argc, char** argv) {
@@ -564,27 +649,12 @@ int CmdFleet(int argc, char** argv) {
               "shard/merge, optional telemetry export.");
   AddTrainFlags(p);
   p.AddInt("days", 1, "number of fleet days to run");
-  p.AddInt("threads", 1, "decision threads (0 = all cores; reports are "
-           "byte-identical for any value)");
-  p.AddInt("num-cuts", 1, "checkpoint cuts per job");
-  p.AddDouble("budget-gb", 0.0, "global storage budget in GB (0 = unlimited)");
-  p.AddString("objective", "temp", "optimization objective: temp|recovery");
-  p.AddInt("template-cache", 0, "recurring-template decision cache capacity "
-           "(0 = disabled)");
-  p.AddInt("cache-bps", 0, "cache input-size drift tolerance in basis points "
-           "(0 = exact, byte-neutral)");
+  AddFleetFlags(p, /*with_budget=*/true);
   p.AddString("report", "", "write per-day JSON report lines to this file");
-  p.AddString("metrics", "", "write per-day telemetry JSON lines (and a final "
-              "cumulative 'run' line) to this file");
-  p.AddString("shard", "", "I/N decide-only mode: decide days d with d%N==I "
-              "and write a blob to --out");
-  p.AddString("out", "", "output blob path for --shard");
-  p.AddString("merge", "", "comma-separated shard blobs to replay into "
-              "byte-identical reports");
   int code;
   if (!ParseOrReport(p, argc, argv, &code)) return code;
   core::FleetConfig cfg = FleetConfigOrExit(p, /*with_budget=*/true);
-  CheckShardFlagsOrExit(p);
+  const ShardTarget shard = ShardTargetOrExit(p, "fleet");
 
   // Telemetry is opt-in and strictly passive: the registry only exists when
   // --metrics names an output file, and a null registry compiles the whole
@@ -629,22 +699,8 @@ int CmdFleet(int argc, char** argv) {
   // shard owns (day d belongs to shard d % N) and write one blob; a later
   // `fleet --merge` run replays all blobs into the canonical report stream.
   // No calibration, no admission, no cache — those are merge-time concerns.
-  std::string shard = p.GetString("shard");
-  if (!shard.empty()) {
-    std::vector<std::string> parts = Split(shard, '/');
-    int32_t index = -1, count = 0;
-    if (parts.size() != 2 || !ParseInt32(parts[0], &index).ok() ||
-        !ParseInt32(parts[1], &count).ok() || count < 1 || index < 0 || index >= count) {
-      std::fprintf(stderr, "--shard expects I/N with 0 <= I < N, got '%s'\n",
-                   shard.c_str());
-      return 2;
-    }
-    std::string out = p.GetString("out");
-    if (out.empty()) {
-      std::fprintf(stderr, "fleet --shard requires --out <file>\n");
-      return 2;
-    }
-    core::FleetShardHeader header{index, count, num_days,
+  if (shard.count > 0) {
+    core::FleetShardHeader header{shard.index, shard.count, num_days,
                                   t.phoebe.bundle()->checksum()};
     // Unbudgeted + cache-off runs have no cross-day state, so each shard can
     // replay its own days and embed the finished reports (v2 blobs); the
@@ -654,7 +710,7 @@ int CmdFleet(int argc, char** argv) {
     std::map<int, core::FleetDayDecisions> days;
     std::map<int, core::FleetDayReport> reports;
     for (int d = 0; d < num_days; ++d) {
-      if (!core::ShardOwnsDay(d, index, count)) continue;
+      if (!core::ShardOwnsDay(d, shard.index, shard.count)) continue;
       const auto& jobs = t.repo.Day(t.train_days + d);
       auto stats = t.repo.StatsBefore(t.train_days + d);
       auto decisions = driver.DecideDay(jobs, stats);
@@ -669,14 +725,14 @@ int CmdFleet(int argc, char** argv) {
     auto blob = core::SerializeFleetShard(header, days,
                                           shard_side_replay ? &reports : nullptr);
     blob.status().Check();
-    std::ofstream f(out, std::ios::binary);
+    std::ofstream f(shard.out, std::ios::binary);
     if (!f) {
-      std::fprintf(stderr, "cannot open '%s'\n", out.c_str());
+      std::fprintf(stderr, "cannot open '%s'\n", shard.out.c_str());
       return 1;
     }
     f << *blob;
-    std::fprintf(stderr, "shard %d/%d: wrote %zu of %d day(s) to %s\n", index,
-                 count, days.size(), num_days, out.c_str());
+    std::fprintf(stderr, "shard %d/%d: wrote %zu of %d day(s) to %s\n", shard.index,
+                 shard.count, days.size(), num_days, shard.out.c_str());
     if (registry) {
       metrics_file << obs::TelemetryLineJson(registry->Snapshot(), "run", -1) << "\n";
     }
@@ -696,32 +752,12 @@ int CmdFleet(int argc, char** argv) {
     obs::Histogram* merge_hist =
         registry ? registry->histogram("fleet.shard.merge.seconds") : nullptr;
     obs::ScopedTimer merge_timer(merge_hist);
-    std::vector<core::FleetShardBlob> blobs;
-    for (const std::string& path : Split(merge, ',')) {
-      std::ifstream f(path, std::ios::binary);
-      if (!f) {
-        std::fprintf(stderr, "cannot open '%s'\n", path.c_str());
-        return 1;
-      }
-      std::string text((std::istreambuf_iterator<char>(f)),
-                       std::istreambuf_iterator<char>());
-      auto blob = core::ParseFleetShard(text);
-      if (!blob.ok()) {
-        std::fprintf(stderr, "parse error in '%s': %s\n", path.c_str(),
-                     blob.status().ToString().c_str());
-        return 1;
-      }
-      blobs.push_back(std::move(*blob));
+    core::CombinedFleetShards m;
+    if (!CombineShardBlobs(merge, num_days, t.phoebe.bundle()->checksum(), &m, &code)) {
+      return code;
     }
-    if (blobs.front().header.num_days != num_days) {
-      std::fprintf(stderr, "shard blobs cover %d day(s); pass --days %d\n",
-                   blobs.front().header.num_days, blobs.front().header.num_days);
-      return 2;
-    }
-    auto m = core::CombineFleetShards(blobs, t.phoebe.bundle()->checksum());
-    m.status().Check();
-    merged = std::move(m->days);
-    shard_reports = std::move(m->reports);
+    merged = std::move(m.days);
+    shard_reports = std::move(m.reports);
     replay = true;
     // Embedded reports are only trusted when this merge's configuration is
     // the one they are valid for (unbudgeted, cache off) and every day has
@@ -880,7 +916,10 @@ int CmdFleetAb(int argc, char** argv) {
               "--arm config variants) decide the same generated days over one "
               "shared context. Arm 0 is the baseline every delta is measured "
               "against; each arm's day report is byte-identical to a "
-              "standalone `fleet` run under that arm's engine and config.");
+              "standalone `fleet` run under that arm's engine and config. "
+              "The fleet flags configure arm 0; telemetry names each arm's "
+              "metrics under ab.arm<k>., and shard blobs carry one section "
+              "per arm (format v3).");
   AddWorkloadFlags(p);
   p.AddInt("train-days", 5, "days of history to train on");
   p.AddInt("test-days", 1, "held-out days generated after training");
@@ -892,29 +931,15 @@ int CmdFleetAb(int argc, char** argv) {
                   "a scenario arm decides its own workload, so it reports "
                   "cost/saving deltas but no decision flips)");
   p.AddInt("days", 1, "number of fleet days to run");
-  p.AddInt("threads", 1, "decision threads (0 = all cores; paired reports are "
-           "byte-identical for any value)");
-  p.AddInt("num-cuts", 1, "checkpoint cuts per job (baseline config)");
-  p.AddDouble("budget-gb", 0.0, "global storage budget in GB (0 = unlimited)");
-  p.AddString("objective", "temp", "optimization objective: temp|recovery");
-  p.AddInt("template-cache", 0, "baseline template cache capacity (0 = off)");
-  p.AddInt("cache-bps", 0, "baseline cache drift tolerance in basis points "
-           "(0 = exact, byte-neutral)");
+  AddFleetFlags(p, /*with_budget=*/true);
   p.AddString("report", "", "write the paired A/B report text to this file");
   p.AddString("arm-reports", "", "write each arm's per-day JSON report lines "
               "to <prefix><k>.jsonl (arm 0's file is byte-identical to a "
               "standalone `fleet --report` under the same config)");
-  p.AddString("metrics", "", "write telemetry JSON lines to this file "
-              "(per-arm names under ab.arm<k>.)");
-  p.AddString("shard", "", "I/N decide-only mode: write one v3 blob with "
-              "per-arm sections to --out");
-  p.AddString("out", "", "output blob path for --shard");
-  p.AddString("merge", "", "comma-separated v3 shard blobs to replay into "
-              "byte-identical paired reports");
   int code;
   if (!ParseOrReport(p, argc, argv, &code)) return code;
   const core::FleetConfig base_cfg = FleetConfigOrExit(p, /*with_budget=*/true);
-  CheckShardFlagsOrExit(p);
+  const ShardTarget shard = ShardTargetOrExit(p, "fleet-ab");
 
   std::unique_ptr<obs::MetricsRegistry> registry;
   std::ofstream metrics_file;
@@ -1052,27 +1077,13 @@ int CmdFleetAb(int argc, char** argv) {
   // --shard I/N: decide-only mode. Arm 0's decisions are the blob's regular
   // day records; arms 1..n-1 land in v3 per-arm sections, so one blob carries
   // the whole differential run's decide phase for the days it owns.
-  std::string shard = p.GetString("shard");
-  if (!shard.empty()) {
-    std::vector<std::string> parts = Split(shard, '/');
-    int32_t index = -1, count = 0;
-    if (parts.size() != 2 || !ParseInt32(parts[0], &index).ok() ||
-        !ParseInt32(parts[1], &count).ok() || count < 1 || index < 0 || index >= count) {
-      std::fprintf(stderr, "--shard expects I/N with 0 <= I < N, got '%s'\n",
-                   shard.c_str());
-      return 2;
-    }
-    std::string out = p.GetString("out");
-    if (out.empty()) {
-      std::fprintf(stderr, "fleet-ab --shard requires --out <file>\n");
-      return 2;
-    }
-    core::FleetShardHeader header{index, count, num_days,
+  if (shard.count > 0) {
+    core::FleetShardHeader header{shard.index, shard.count, num_days,
                                   driver.spec(0).bundle_checksum};
     std::map<int, core::FleetDayDecisions> days;
     std::map<int, std::map<int, core::FleetDayDecisions>> arm_days;
     for (int d = 0; d < num_days; ++d) {
-      if (!core::ShardOwnsDay(d, index, count)) continue;
+      if (!core::ShardOwnsDay(d, shard.index, shard.count)) continue;
       DayInputs in = MakeArmContexts(d, train_days + d);
       auto decisions = driver.DecideDay(in.ctxs);
       decisions.status().Check();
@@ -1084,15 +1095,15 @@ int CmdFleetAb(int argc, char** argv) {
     auto blob = core::SerializeFleetShard(header, days, nullptr,
                                           arm_days.empty() ? nullptr : &arm_days);
     blob.status().Check();
-    std::ofstream f(out, std::ios::binary);
+    std::ofstream f(shard.out, std::ios::binary);
     if (!f) {
-      std::fprintf(stderr, "cannot open '%s'\n", out.c_str());
+      std::fprintf(stderr, "cannot open '%s'\n", shard.out.c_str());
       return 1;
     }
     f << *blob;
     std::fprintf(stderr, "shard %d/%d: wrote %zu of %d day(s) x %zu arm(s) to %s\n",
-                 index, count, days.size(), num_days, driver.num_arms(),
-                 out.c_str());
+                 shard.index, shard.count, days.size(), num_days, driver.num_arms(),
+                 shard.out.c_str());
     if (registry) {
       metrics_file << obs::TelemetryLineJson(registry->Snapshot(), "run", -1) << "\n";
     }
@@ -1107,32 +1118,12 @@ int CmdFleetAb(int argc, char** argv) {
   bool replay = false;
   std::string merge = p.GetString("merge");
   if (!merge.empty()) {
-    std::vector<core::FleetShardBlob> blobs;
-    for (const std::string& path : Split(merge, ',')) {
-      std::ifstream f(path, std::ios::binary);
-      if (!f) {
-        std::fprintf(stderr, "cannot open '%s'\n", path.c_str());
-        return 1;
-      }
-      std::string text((std::istreambuf_iterator<char>(f)),
-                       std::istreambuf_iterator<char>());
-      auto blob = core::ParseFleetShard(text);
-      if (!blob.ok()) {
-        std::fprintf(stderr, "parse error in '%s': %s\n", path.c_str(),
-                     blob.status().ToString().c_str());
-        return 1;
-      }
-      blobs.push_back(std::move(*blob));
+    core::CombinedFleetShards m;
+    if (!CombineShardBlobs(merge, num_days, driver.spec(0).bundle_checksum, &m, &code)) {
+      return code;
     }
-    if (blobs.front().header.num_days != num_days) {
-      std::fprintf(stderr, "shard blobs cover %d day(s); pass --days %d\n",
-                   blobs.front().header.num_days, blobs.front().header.num_days);
-      return 2;
-    }
-    auto m = core::CombineFleetShards(blobs, driver.spec(0).bundle_checksum);
-    m.status().Check();
-    merged = std::move(m->days);
-    merged_arms = std::move(m->arm_days);
+    merged = std::move(m.days);
+    merged_arms = std::move(m.arm_days);
     replay = true;
   }
 
@@ -1270,14 +1261,7 @@ int CmdLifecycle(int argc, char** argv) {
   p.AddInt("policy-min-history", 2, "completed days required before the "
            "bootstrap training");
   p.AddInt("backtest-window", 3, "trailing days of the canary backtest");
-  p.AddString("objective", "temp", "optimization objective: temp|recovery");
-  p.AddInt("threads", 1, "decision threads (0 = all cores; artifacts are "
-           "byte-identical for any value)");
-  p.AddInt("num-cuts", 1, "checkpoint cuts per job");
-  p.AddInt("template-cache", 0, "recurring-template decision cache capacity "
-           "(0 = disabled; exact mode is byte-neutral)");
-  p.AddInt("cache-bps", 0, "cache input-size drift tolerance in basis points "
-           "(0 = exact)");
+  AddFleetFlags(p, /*with_budget=*/false);
   p.AddInt("retention-days", 0, "evict repository days older than this "
            "(0 = keep everything; must cover the deepest window)");
   p.AddBool("shadow", "record the candidate's would-be decisions as shard-blob "
@@ -1286,8 +1270,6 @@ int CmdLifecycle(int argc, char** argv) {
               "under while the incumbent keeps its own: default|small|crippled "
               "(crippled always loses the canary — the rejection-path demo)");
   p.AddString("out-dir", "", "artifact directory (required)");
-  p.AddString("metrics", "", "write per-day lifecycle.* telemetry JSON lines "
-              "(and a final cumulative 'run' line) to this file");
   int code;
   if (!ParseOrReport(p, argc, argv, &code)) return code;
 
