@@ -1,16 +1,16 @@
-// Differential A/B harness bench: N arms over one shared DayContext vs the
-// same arms run standalone, one FleetDriver each. Times both and gates the
-// contract that makes the harness trustworthy — every arm's per-day report
-// must be byte-identical to the report that arm produces standalone, and the
-// paired comparison report must be byte-identical across thread counts.
-// Emits a JSON document on stdout for dashboards; human-readable progress
-// goes to stderr.
+// Differential A/B harness bench: N arms deciding each day through
+// DecideDay + ReplayDay and a paired comparison, vs the same arms run
+// standalone with RunDay, one FleetDriver per arm either way. Times both and
+// gates the contract that makes the harness trustworthy — every arm's
+// per-day report must be byte-identical to the report that arm produces
+// standalone, and the paired comparison report must be byte-identical across
+// thread counts. Emits a JSON document on stdout for dashboards;
+// human-readable progress goes to stderr.
 //
-// The harness's win is structural (workload generation, historic stats, and
-// the day context are materialized once instead of once per arm), so the
-// wall-clock series is the perf-trajectory signal and the byte-identity
-// booleans are the correctness gates — tools/bench_compare.py fails the
-// nightly if either regresses.
+// Workload generation and historic stats are materialized once for every
+// arm, so the wall-clock series is the perf-trajectory signal and the
+// byte-identity booleans are the correctness gates — tools/bench_compare.py
+// fails the nightly if either regresses.
 //
 // Usage: bench_ab_harness [--days N] [--num-cuts K] [--budget-gb G]
 #include <chrono>
@@ -73,29 +73,32 @@ int Run(int argc, char** argv) {
   variant_cfg.num_cuts = num_cuts * 2;
 
   const uint32_t checksum = env.phoebe->bundle()->checksum();
-  auto make_specs = [&](int threads) {
-    core::FleetConfig b = base_cfg, v = variant_cfg;
-    b.num_threads = threads;
-    v.num_threads = threads;
-    return std::vector<core::FleetArmSpec>{
-        {"base", &env.phoebe->engine(), b, checksum},
-        {"morecuts", &env.phoebe->engine(), v, checksum}};
+  const std::vector<core::FleetArmSpec> specs = {{"base", checksum},
+                                                 {"morecuts", checksum}};
+  // One calibrated driver per arm, deciding with `threads` workers.
+  auto make_drivers = [&](int threads) {
+    std::vector<core::FleetDriver> drivers;
+    drivers.reserve(2);
+    for (core::FleetConfig cfg : {base_cfg, variant_cfg}) {
+      cfg.num_threads = threads;
+      drivers.emplace_back(&env.phoebe->engine(), cfg);
+      if (budget_gb > 0) {
+        drivers.back()
+            .Calibrate(env.repo.Day(env.train_days - 1),
+                       env.repo.StatsBefore(env.train_days - 1))
+            .Check();
+      }
+    }
+    return drivers;
   };
-  const core::DayContext calibration_day(-1, env.repo.Day(env.train_days - 1),
-                                         env.repo.StatsBefore(env.train_days - 1));
 
   // --- Standalone baseline: one FleetDriver per arm, full pass each -------
   auto t_sa0 = std::chrono::steady_clock::now();
   std::vector<std::string> standalone_json(2);
   {
-    const auto specs = make_specs(1);
-    for (size_t k = 0; k < specs.size(); ++k) {
-      core::FleetDriver driver(specs[k].engine, specs[k].config);
-      if (budget_gb > 0) {
-        driver.Calibrate(env.repo.Day(env.train_days - 1),
-                         env.repo.StatsBefore(env.train_days - 1))
-            .Check();
-      }
+    std::vector<core::FleetDriver> drivers = make_drivers(1);
+    for (size_t k = 0; k < drivers.size(); ++k) {
+      core::FleetDriver& driver = drivers[k];
       for (int d = 0; d < num_days; ++d) {
         auto report = driver.RunDay(days[static_cast<size_t>(d)], stats);
         report.status().Check();
@@ -108,7 +111,7 @@ int Run(int argc, char** argv) {
   std::fprintf(stderr, "standalone (2 arms, serial): %.3f s\n",
                standalone_seconds);
 
-  // --- Harness series: shared DayContext, every arm, 1/2/4 threads --------
+  // --- Harness series: every arm, paired comparison, 1/2/4 threads --------
   struct Series {
     int threads;
     double seconds;
@@ -116,23 +119,32 @@ int Run(int argc, char** argv) {
   };
   std::vector<Series> series;
   std::string paired_baseline;
-  bool arm_reports_identical = true;
+  bool arms_match_standalone = true;
 
   for (int threads : {1, 2, 4}) {
-    core::FleetAbDriver ab(make_specs(threads));
-    if (budget_gb > 0) {
-      ab.Calibrate(std::vector<core::DayContext>(ab.num_arms(), calibration_day)).Check();
-    }
+    std::vector<core::FleetDriver> drivers = make_drivers(threads);
     auto t0 = std::chrono::steady_clock::now();
     std::vector<core::AbDayComparison> comparisons;
     std::vector<std::string> arm_json(2);
     for (int d = 0; d < num_days; ++d) {
-      core::DayContext ctx(d, days[static_cast<size_t>(d)], stats);
-      auto result = ab.RunDay(std::vector<core::DayContext>(ab.num_arms(), ctx));
-      result.status().Check();
-      comparisons.push_back(result->comparison);
+      const auto& jobs = days[static_cast<size_t>(d)];
+      std::vector<core::FleetDayDecisions> decisions;
+      std::vector<core::FleetDayReport> reports;
+      for (core::FleetDriver& driver : drivers) {
+        auto decided = driver.DecideDay(jobs, stats);
+        decided.status().Check();
+        decisions.push_back(std::move(*decided));
+        auto report = driver.ReplayDay(jobs, stats, decisions.back());
+        report.status().Check();
+        reports.push_back(std::move(*report));
+      }
+      auto cmp = core::BuildAbDayComparison(
+          d, specs, std::vector<const std::vector<workload::JobInstance>*>(2, &jobs),
+          decisions, reports);
+      cmp.status().Check();
+      comparisons.push_back(std::move(*cmp));
       for (size_t k = 0; k < arm_json.size(); ++k) {
-        arm_json[k] += core::FleetDayReportJson(result->reports[k], d) + "\n";
+        arm_json[k] += core::FleetDayReportJson(reports[k], d) + "\n";
       }
     }
     const std::string paired = core::SerializeAbReport(comparisons);
@@ -142,8 +154,8 @@ int Run(int argc, char** argv) {
     if (threads == 1) {
       paired_baseline = paired;
       for (size_t k = 0; k < arm_json.size(); ++k) {
-        arm_reports_identical =
-            arm_reports_identical && arm_json[k] == standalone_json[k];
+        arms_match_standalone =
+            arms_match_standalone && arm_json[k] == standalone_json[k];
       }
     } else {
       paired_identical = paired == paired_baseline;
@@ -153,7 +165,7 @@ int Run(int argc, char** argv) {
                  paired_identical ? "" : "  PAIRED REPORT MISMATCH");
   }
   std::fprintf(stderr, "arm reports identical to standalone: %s\n",
-               arm_reports_identical ? "yes" : "NO");
+               arms_match_standalone ? "yes" : "NO");
 
   JsonWriter json;
   json.BeginObject();
@@ -164,7 +176,7 @@ int Run(int argc, char** argv) {
   json.KV("num_cuts", num_cuts);
   json.KV("budget_gb", budget_gb);
   json.KV("hardware_concurrency", ThreadPool::Resolve(0));
-  json.KV("arm_reports_identical_to_standalone", arm_reports_identical);
+  json.KV("arm_reports_identical_to_standalone", arms_match_standalone);
   json.Key("series").BeginArray();
   {
     json.BeginObject();
@@ -184,7 +196,7 @@ int Run(int argc, char** argv) {
   json.EndObject();
   std::printf("%s\n", json.str().c_str());
 
-  if (!arm_reports_identical) return 1;  // determinism violation = failure
+  if (!arms_match_standalone) return 1;  // determinism violation = failure
   for (const Series& s : series) {
     if (!s.paired_identical) return 1;
   }

@@ -205,25 +205,14 @@ int Run(int argc, char** argv) {
         // state; nonzero status reports any failure to the parent.
         core::FleetDriver child(&env.phoebe->engine(), cfg);
         std::map<int, core::FleetDayDecisions> owned;
-        std::map<int, core::FleetDayReport> reports;
-        // Unbudgeted runs have no cross-day state, so each child replays its
-        // own sub-days and embeds the reports — the parent's merge is then
-        // pure report concatenation (the v2 shard fast path).
-        const bool shard_side_replay = budget_gb <= 0;
         for (int d = 0; d < kSubDays; ++d) {
           if (!core::ShardOwnsDay(d, s, procs)) continue;
           auto day = child.DecideDay(sub_days[static_cast<size_t>(d)], stats);
           if (!day.ok()) ::_exit(1);
-          if (shard_side_replay) {
-            auto rep = child.ReplayDay(sub_days[static_cast<size_t>(d)], stats, *day);
-            if (!rep.ok()) ::_exit(1);
-            reports.emplace(d, *std::move(rep));
-          }
           owned.emplace(d, *std::move(day));
         }
         auto blob = core::SerializeFleetShard(
-            core::FleetShardHeader{s, procs, kSubDays, bundle_checksum}, owned,
-            shard_side_replay ? &reports : nullptr);
+            core::FleetShardHeader{s, procs, kSubDays, bundle_checksum}, owned);
         if (!blob.ok()) ::_exit(1);
         std::ofstream out(blob_paths[static_cast<size_t>(s)], std::ios::binary);
         out << *blob;
@@ -256,25 +245,17 @@ int Run(int argc, char** argv) {
     auto merged = core::CombineFleetShards(blobs, bundle_checksum);
     merged.status().Check();
     std::string merged_json;
-    if (budget_gb <= 0 &&
-        static_cast<int>(merged->reports.size()) == kSubDays) {
-      // Shard-side replay embedded every report: merge is concatenation.
-      for (int d = 0; d < kSubDays; ++d) {
-        merged_json += core::FleetDayReportJson(merged->reports.at(d), d) + "\n";
-      }
-    } else {
-      core::FleetDriver merge_driver(&env.phoebe->engine(), cfg);
-      if (budget_gb > 0) {
-        merge_driver.Calibrate(env.repo.Day(env.train_days - 1),
-                               env.repo.StatsBefore(env.train_days - 1))
-            .Check();
-      }
-      for (int d = 0; d < kSubDays; ++d) {
-        auto report = merge_driver.ReplayDay(sub_days[static_cast<size_t>(d)],
-                                             stats, merged->days.at(d));
-        report.status().Check();
-        merged_json += core::FleetDayReportJson(*report, d) + "\n";
-      }
+    core::FleetDriver merge_driver(&env.phoebe->engine(), cfg);
+    if (budget_gb > 0) {
+      merge_driver.Calibrate(env.repo.Day(env.train_days - 1),
+                             env.repo.StatsBefore(env.train_days - 1))
+          .Check();
+    }
+    for (int d = 0; d < kSubDays; ++d) {
+      auto report = merge_driver.ReplayDay(sub_days[static_cast<size_t>(d)], stats,
+                                           merged->days.at(d));
+      report.status().Check();
+      merged_json += core::FleetDayReportJson(*report, d) + "\n";
     }
     const double merge_seconds = Seconds(t1, std::chrono::steady_clock::now());
     const bool identical = merged_json == sequential_json;

@@ -44,7 +44,7 @@ Status FleetConfig::Validate() const {
   return template_cache.Validate();
 }
 
-DecisionArm::DecisionArm(const DecisionEngine* engine, FleetConfig config)
+FleetDriver::FleetDriver(const DecisionEngine* engine, FleetConfig config)
     : engine_(engine), config_(config), config_status_(config.Validate()),
       template_cache_(config.template_cache.capacity) {
   PHOEBE_CHECK(engine != nullptr);
@@ -75,8 +75,8 @@ namespace {
 /// lines. ParallelForWorker hands each body invocation its worker id, which
 /// makes arena reuse race-free by construction; decisions are bit-identical
 /// regardless of which (or how warm an) arena served a job, so the
-/// byte-determinism contract is untouched. Each arm builds its own arenas
-/// per decide phase — arenas are never shared across arms.
+/// byte-determinism contract is untouched. Each driver builds its own arenas
+/// per decide phase — arenas are never shared across drivers.
 std::vector<std::unique_ptr<DecideScratch>> MakeWorkerArenas(int threads) {
   std::vector<std::unique_ptr<DecideScratch>> arenas(
       static_cast<size_t>(std::max(threads, 1)));
@@ -97,7 +97,7 @@ std::vector<char> EligibleJobs(const std::vector<workload::JobInstance>& jobs) {
 /// independent of scheduling order. Pure map over the jobs: the engine's
 /// bundle is immutable, so concurrent calls for distinct jobs are safe by
 /// construction (see DESIGN.md "Concurrency"). `jobs_decided`/`worker_jobs`
-/// are the arm's (possibly null/empty) telemetry counters; per-worker
+/// are the driver's (possibly null/empty) telemetry counters; per-worker
 /// attribution never touches the result slots.
 void DecideAll(const DecisionEngine& engine, const FleetConfig& config,
                const std::vector<workload::JobInstance>& jobs,
@@ -133,12 +133,12 @@ void DecideAll(const DecisionEngine& engine, const FleetConfig& config,
 
 }  // namespace
 
-Status DecisionArm::Calibrate(const DayContext& history) {
+Status FleetDriver::Calibrate(const std::vector<workload::JobInstance>& history_jobs,
+                              const telemetry::HistoricStats& history_stats) {
   PHOEBE_RETURN_NOT_OK(config_status_);
-  const std::vector<workload::JobInstance>& history_jobs = *history.jobs;
   calibration_.clear();
   std::vector<std::optional<Result<FleetDecision>>> decisions;
-  DecideAll(*engine_, config_, history_jobs, *history.stats, EligibleJobs(history_jobs),
+  DecideAll(*engine_, config_, history_jobs, history_stats, EligibleJobs(history_jobs),
             metrics_.jobs_decided, metrics_.worker_jobs, &decisions);
   for (size_t i = 0; i < history_jobs.size(); ++i) {
     if (!decisions[i].has_value()) continue;  // < 2 stages
@@ -155,16 +155,17 @@ Status DecisionArm::Calibrate(const DayContext& history) {
   return Status::OK();
 }
 
-Result<FleetDayDecisions> DecisionArm::DecideDay(const DayContext& ctx) const {
+Result<FleetDayDecisions> FleetDriver::DecideDay(
+    const std::vector<workload::JobInstance>& jobs,
+    const telemetry::HistoricStats& stats) const {
   PHOEBE_RETURN_NOT_OK(config_status_);
   obs::ScopedTimer day_timer(metrics_.decide_day_seconds);
-  const std::vector<workload::JobInstance>& jobs = *ctx.jobs;
   // Fresh decisions for *every* eligible job, never consulting the template
   // cache: a shard process has no cache state, and the merge's ReplayDay only
   // consumes the slots RunDay would have computed (leaders / all jobs), so
   // extra slots cost shard CPU but never change the merged report.
   std::vector<std::optional<Result<FleetDecision>>> slots;
-  DecideAll(*engine_, config_, jobs, *ctx.stats, EligibleJobs(jobs),
+  DecideAll(*engine_, config_, jobs, stats, EligibleJobs(jobs),
             metrics_.jobs_decided, metrics_.worker_jobs, &slots);
   FleetDayDecisions day;
   day.decisions.resize(jobs.size());
@@ -176,22 +177,23 @@ Result<FleetDayDecisions> DecisionArm::DecideDay(const DayContext& ctx) const {
   return day;
 }
 
-Result<FleetDayReport> DecisionArm::RunDay(const DayContext& ctx) {
-  return RunDayImpl(ctx, /*precomputed=*/nullptr);
+Result<FleetDayReport> FleetDriver::RunDay(const std::vector<workload::JobInstance>& jobs,
+                                           const telemetry::HistoricStats& stats) {
+  return RunDayImpl(jobs, stats, /*precomputed=*/nullptr);
 }
 
-Result<FleetDayReport> DecisionArm::ReplayDay(const DayContext& ctx,
+Result<FleetDayReport> FleetDriver::ReplayDay(const std::vector<workload::JobInstance>& jobs,
+                                              const telemetry::HistoricStats& stats,
                                               const FleetDayDecisions& precomputed) {
   obs::ScopedTimer replay_timer(metrics_.replay_day_seconds);
-  return RunDayImpl(ctx, &precomputed);
+  return RunDayImpl(jobs, stats, &precomputed);
 }
 
-Result<FleetDayReport> DecisionArm::RunDayImpl(const DayContext& ctx,
-                                               const FleetDayDecisions* precomputed) {
+Result<FleetDayReport> FleetDriver::RunDayImpl(
+    const std::vector<workload::JobInstance>& jobs, const telemetry::HistoricStats& stats,
+    const FleetDayDecisions* precomputed) {
   PHOEBE_RETURN_NOT_OK(config_status_);
   obs::ScopedTimer day_timer(metrics_.day_seconds);
-  const std::vector<workload::JobInstance>& jobs = *ctx.jobs;
-  const telemetry::HistoricStats& stats = *ctx.stats;
   const bool budgeted = std::isfinite(config_.storage_budget_bytes);
   if (budgeted && !calibrated_) {
     return Status::FailedPrecondition("Calibrate must run before a budgeted RunDay");
@@ -238,7 +240,7 @@ Result<FleetDayReport> DecisionArm::RunDayImpl(const DayContext& ctx,
   //
   // With the template cache on, a serial arrival-order prepass first resolves
   // hits against the cache (as left by prior RunDay/ReplayDay calls on this
-  // arm) and designates the first instance of each unseen key as that
+  // driver) and designates the first instance of each unseen key as that
   // key's leader; the parallel phase then computes leaders only, and a serial
   // admission prologue copies leader decisions to their followers and inserts
   // them into the cache — so every cache mutation happens serially in arrival

@@ -4,26 +4,10 @@
 // knapsack, and reports what the fleet realized — the layer the Workload
 // Insight Service runs in Figure 4.
 //
-// The layer is split along the arm/context seam (see DESIGN.md
-// "Differential evaluation"):
-//
-//   * DayContext — everything about the day that is *arm-independent*: the
-//     day index, the materialized jobs, and the historic-stats view they
-//     were submitted under. One context is built once per day and can drive
-//     any number of arms; nothing in it mutates.
-//   * DecisionArm — everything *bundle/config-specific*: the const serving
-//     engine, the fleet config, the recurring-template decision cache, the
-//     admission calibration sample, and the (optionally prefix-namespaced)
-//     metrics. An arm is the unit the differential A/B harness replicates
-//     (core/fleet_ab.h): N arms over one context decide the same jobs under
-//     N models or configs in a single pass.
-//   * FleetDriver — the single-arm convenience wrapper (the N=1 case). Its
-//     API and reports are byte-identical to the pre-split driver; the whole
-//     legacy surface forwards to one owned DecisionArm.
-//
-// The arm serves from a const DecisionEngine (see core/engine.h): the
-// decide path has no access to mutable pipeline state, which is what makes
-// both of its parallel forms safe by construction:
+// FleetDriver is the only day driver. It serves from a const DecisionEngine
+// (see core/engine.h): the decide path has no access to mutable pipeline
+// state, which is what makes both of its parallel forms safe by
+// construction:
 //   1. thread-level — the day loop's decision phase runs across a
 //      fixed-size thread pool, and a serial admission phase replays the
 //      online-knapsack offers in arrival order, so the FleetDayReport is
@@ -33,6 +17,9 @@
 //      precomputed decisions through the *same* cache/admission code path,
 //      so N shard processes + a serial merge reproduce the unsharded report
 //      byte for byte (see core/fleet_shard.h).
+//
+// The differential A/B harness (core/fleet_ab.h) holds one driver per arm
+// and calls DecideDay/ReplayDay on each; a driver is the unit it replicates.
 #pragma once
 
 #include <limits>
@@ -141,43 +128,23 @@ struct FleetDayDecisions {
   std::vector<std::optional<FleetDecision>> decisions;
 };
 
-/// \brief Shared, arm-independent state of one fleet day: the generated
-/// jobs and the historic-stats view under which every arm must decide them.
-/// Built once per day (workload generation and stats materialization are the
-/// expensive arm-independent work) and passed by const reference to every
-/// arm — N arms over one context is what guarantees, structurally, that
-/// alternatives are costed against *identical* inputs.
-///
-/// Borrows: `jobs` and `stats` must outlive every arm call made with the
-/// context. Nothing in a DayContext ever mutates.
-struct DayContext {
-  int day = 0;  ///< caller's day index (reporting only; arms never read it)
-  const std::vector<workload::JobInstance>* jobs = nullptr;
-  const telemetry::HistoricStats* stats = nullptr;
-
-  DayContext() = default;
-  DayContext(int d, const std::vector<workload::JobInstance>& j,
-             const telemetry::HistoricStats& s)
-      : day(d), jobs(&j), stats(&s) {}
-};
-
-/// \brief One decision arm: a serving engine plus everything that belongs to
-/// it — fleet config, template decision cache, admission calibration, and
-/// resolved metric pointers. Arms own all bundle-specific day-loop state, so
-/// any number of them can run over one DayContext; each keeps its own cache
+/// \brief Runs the per-day decision loop: a serving engine plus everything
+/// that belongs to it — fleet config, template decision cache, admission
+/// calibration, and resolved metric pointers. Each driver keeps its own cache
 /// and its own per-worker DecideScratch arenas (created per decide phase),
-/// and admission replays per arm in arrival order.
-class DecisionArm {
+/// and admission replays in arrival order.
+class FleetDriver {
  public:
-  /// \param engine const serving engine (borrowed; must outlive the arm).
+  /// \param engine const serving engine (borrowed; must outlive the driver).
   /// The engine's bundle is immutable, so the parallel phase is safe by
   /// construction; just don't re-seat the engine (PhoebePipeline::Train /
-  /// LoadBundle) while an arm call is in flight.
-  DecisionArm(const DecisionEngine* engine, FleetConfig config);
+  /// LoadBundle) while a driver call is in flight.
+  FleetDriver(const DecisionEngine* engine, FleetConfig config);
 
   /// Calibrate the admission threshold from a historical day's decisions.
   /// Must be called before RunDay when the budget is finite.
-  Status Calibrate(const DayContext& history);
+  Status Calibrate(const std::vector<workload::JobInstance>& history_jobs,
+                   const telemetry::HistoricStats& history_stats);
 
   /// Decide + admit every job of the day (arrival order = vector order).
   ///
@@ -188,31 +155,29 @@ class DecisionArm {
   /// inserts leader decisions into the cache and copies them to followers.
   /// Every cache mutation happens in a serial phase in arrival order, so the
   /// report is byte-identical for any num_threads. The cache persists across
-  /// RunDay calls on one arm (that is where cross-day hits come from);
+  /// RunDay calls on one driver (that is where cross-day hits come from);
   /// Calibrate never consults it.
-  Result<FleetDayReport> RunDay(const DayContext& ctx);
+  Result<FleetDayReport> RunDay(const std::vector<workload::JobInstance>& jobs,
+                                const telemetry::HistoricStats& stats);
 
   /// Decide phase only: a fresh decision for every eligible job, no cache
-  /// interaction, no admission, no arm-state mutation. This is the work a
+  /// interaction, no admission, no driver-state mutation. This is the work a
   /// shard process performs for the days it owns, and the per-arm pass the
   /// A/B harness diffs.
-  Result<FleetDayDecisions> DecideDay(const DayContext& ctx) const;
+  Result<FleetDayDecisions> DecideDay(const std::vector<workload::JobInstance>& jobs,
+                                      const telemetry::HistoricStats& stats) const;
 
   /// RunDay with the decision phase replaced by `precomputed` (from
   /// DecideDay, possibly in another process). The cache prepass, leader
   /// bookkeeping, admission replay, and every report counter run the same
   /// code RunDay runs, so for decisions produced by an engine+config equal
-  /// to this arm's the report is byte-identical to RunDay's — including
+  /// to this driver's the report is byte-identical to RunDay's — including
   /// cache hit/miss/eviction counts and LRU eviction order.
-  Result<FleetDayReport> ReplayDay(const DayContext& ctx,
+  Result<FleetDayReport> ReplayDay(const std::vector<workload::JobInstance>& jobs,
+                                   const telemetry::HistoricStats& stats,
                                    const FleetDayDecisions& precomputed);
 
-  const FleetConfig& config() const { return config_; }
-  const DecisionEngine& engine() const { return *engine_; }
-
  private:
-  friend struct FleetDriverPeer;  // test-only access to resolved metrics
-
   /// Metric pointers resolved once at construction (null = metrics off).
   /// Phase names match DESIGN.md "Observability"; under a namespaced
   /// registry every name below carries the arm's prefix.
@@ -234,7 +199,8 @@ class DecisionArm {
     std::vector<obs::Counter*> worker_jobs;
   };
 
-  Result<FleetDayReport> RunDayImpl(const DayContext& ctx,
+  Result<FleetDayReport> RunDayImpl(const std::vector<workload::JobInstance>& jobs,
+                                    const telemetry::HistoricStats& stats,
                                     const FleetDayDecisions* precomputed);
 
   const DecisionEngine* engine_;
@@ -244,51 +210,6 @@ class DecisionArm {
   std::vector<KnapsackItem> calibration_;
   bool calibrated_ = false;
   TemplateDecisionCache<FleetDecision> template_cache_;
-};
-
-/// \brief Runs the per-day decision loop for one arm — the N=1 wrapper kept
-/// for every existing single-bundle call site. Pure forwarding over one
-/// owned DecisionArm, so reports are byte-identical to the pre-split driver
-/// (core_fleet_ab_test pins arm-0-vs-standalone identity).
-class FleetDriver {
- public:
-  /// \param engine const serving engine (borrowed; must outlive the driver).
-  FleetDriver(const DecisionEngine* engine, FleetConfig config)
-      : arm_(engine, config) {}
-
-  /// Calibrate the admission threshold from a historical day's decisions.
-  /// Must be called before RunDay when the budget is finite.
-  Status Calibrate(const std::vector<workload::JobInstance>& history_jobs,
-                   const telemetry::HistoricStats& history_stats) {
-    return arm_.Calibrate(DayContext(-1, history_jobs, history_stats));
-  }
-
-  /// Decide + admit every job of the day. See DecisionArm::RunDay.
-  Result<FleetDayReport> RunDay(const std::vector<workload::JobInstance>& jobs,
-                                const telemetry::HistoricStats& stats) {
-    return arm_.RunDay(DayContext(-1, jobs, stats));
-  }
-
-  /// Decide phase only. See DecisionArm::DecideDay.
-  Result<FleetDayDecisions> DecideDay(const std::vector<workload::JobInstance>& jobs,
-                                      const telemetry::HistoricStats& stats) const {
-    return arm_.DecideDay(DayContext(-1, jobs, stats));
-  }
-
-  /// RunDay over precomputed decisions. See DecisionArm::ReplayDay.
-  Result<FleetDayReport> ReplayDay(const std::vector<workload::JobInstance>& jobs,
-                                   const telemetry::HistoricStats& stats,
-                                   const FleetDayDecisions& precomputed) {
-    return arm_.ReplayDay(DayContext(-1, jobs, stats), precomputed);
-  }
-
-  /// The underlying arm (e.g. to run it against an externally built
-  /// DayContext alongside other arms).
-  DecisionArm& arm() { return arm_; }
-  const DecisionArm& arm() const { return arm_; }
-
- private:
-  DecisionArm arm_;
 };
 
 }  // namespace phoebe::core

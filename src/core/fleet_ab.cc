@@ -48,27 +48,6 @@ bool TokenSafe(const std::string& name) {
   return true;
 }
 
-Status ValidateSpecs(const std::vector<FleetArmSpec>& specs) {
-  if (specs.empty()) {
-    return Status::InvalidArgument("an A/B run needs at least one arm");
-  }
-  std::set<std::string> names;
-  for (size_t k = 0; k < specs.size(); ++k) {
-    if (specs[k].engine == nullptr) {
-      return Status::InvalidArgument(
-          StrFormat("arm %zu has no engine", k));
-    }
-    if (!TokenSafe(specs[k].name)) {
-      return Status::InvalidArgument(StrFormat(
-          "arm %zu name must be non-empty and whitespace-free", k));
-    }
-    if (!names.insert(specs[k].name).second) {
-      return Status::InvalidArgument("duplicate arm name: " + specs[k].name);
-    }
-  }
-  return Status::OK();
-}
-
 /// Stages whose membership in the outermost checkpoint-before set differs;
 /// an absent cut means no stage is before any cut.
 int CountStageFlips(const std::optional<FleetDecision>& a,
@@ -90,33 +69,46 @@ int CountStageFlips(const std::optional<FleetDecision>& a,
 
 }  // namespace
 
+Status ValidateArmSpecs(const std::vector<FleetArmSpec>& specs) {
+  if (specs.empty()) {
+    return Status::InvalidArgument("an A/B run needs at least one arm");
+  }
+  std::set<std::string> names;
+  for (size_t k = 0; k < specs.size(); ++k) {
+    if (!TokenSafe(specs[k].name)) {
+      return Status::InvalidArgument(StrFormat(
+          "arm %zu name must be non-empty and whitespace-free", k));
+    }
+    if (!names.insert(specs[k].name).second) {
+      return Status::InvalidArgument("duplicate arm name: " + specs[k].name);
+    }
+  }
+  return Status::OK();
+}
+
 Result<AbDayComparison> BuildAbDayComparison(
-    const std::vector<DayContext>& ctxs, const std::vector<FleetArmSpec>& specs,
+    int day, const std::vector<FleetArmSpec>& specs,
+    const std::vector<const std::vector<workload::JobInstance>*>& jobs,
     const std::vector<FleetDayDecisions>& decisions,
     const std::vector<FleetDayReport>& reports) {
+  PHOEBE_RETURN_NOT_OK(ValidateArmSpecs(specs));
   const size_t n = specs.size();
-  if (n == 0 || ctxs.size() != n || decisions.size() != n ||
-      reports.size() != n) {
+  if (jobs.size() != n || decisions.size() != n || reports.size() != n) {
     return Status::InvalidArgument(
-        "specs, contexts, decisions, and reports must be parallel and "
-        "non-empty");
+        "specs, jobs, decisions, and reports must be parallel");
   }
   for (size_t k = 0; k < n; ++k) {
-    if (ctxs[k].jobs == nullptr) {
-      return Status::InvalidArgument(StrFormat("arm %zu context has no jobs", k));
-    }
-    if (ctxs[k].day != ctxs[0].day) {
-      return Status::InvalidArgument(
-          "per-arm contexts must share one day index");
+    if (jobs[k] == nullptr) {
+      return Status::InvalidArgument(StrFormat("arm %zu has no jobs", k));
     }
   }
-  const size_t m = ctxs[0].jobs->size();
+  const size_t m = jobs[0]->size();
   AbDayComparison c;
-  c.day = ctxs[0].day;
+  c.day = day;
   c.jobs = static_cast<int>(m);
   c.arms.reserve(n);
   for (size_t k = 0; k < n; ++k) {
-    const size_t mk = ctxs[k].jobs->size();
+    const size_t mk = jobs[k]->size();
     if (decisions[k].decisions.size() != mk || reports[k].outcomes.size() != mk) {
       return Status::InvalidArgument(StrFormat(
           "arm %zu decisions/report do not cover the day's %zu jobs", k, mk));
@@ -146,7 +138,7 @@ Result<AbDayComparison> BuildAbDayComparison(
     AbArmDelta& delta = c.deltas[k];
     delta.saving_delta = c.arms[k].saving_fraction - c.arms[0].saving_fraction;
     delta.cost_delta = c.arms[k].cost - c.arms[0].cost;
-    if (ctxs[k].jobs != ctxs[0].jobs) continue;
+    if (jobs[k] != jobs[0]) continue;
     if (base_records.empty() && m > 0) {
       base_records.reserve(m);
       for (size_t i = 0; i < m; ++i) {
@@ -319,81 +311,6 @@ Result<std::vector<AbDayComparison>> ParseAbReport(const std::string& text) {
     return Status::InvalidArgument("trailing bytes after end_ab_report");
   }
   return days;
-}
-
-FleetAbDriver::FleetAbDriver(std::vector<FleetArmSpec> specs)
-    : specs_(std::move(specs)) {
-  specs_status_ = ValidateSpecs(specs_);
-  if (!specs_status_.ok()) return;
-  arms_.reserve(specs_.size());
-  for (const FleetArmSpec& spec : specs_) {
-    arms_.push_back(std::make_unique<DecisionArm>(spec.engine, spec.config));
-  }
-}
-
-Status FleetAbDriver::Calibrate(const std::vector<DayContext>& histories) {
-  PHOEBE_RETURN_NOT_OK(specs_status_);
-  if (histories.size() != arms_.size()) {
-    return Status::InvalidArgument(
-        StrFormat("calibration contexts cover %zu arms, driver has %zu",
-                  histories.size(), arms_.size()));
-  }
-  for (size_t k = 0; k < arms_.size(); ++k) {
-    PHOEBE_RETURN_NOT_OK(arms_[k]->Calibrate(histories[k]));
-  }
-  return Status::OK();
-}
-
-Result<std::vector<FleetDayDecisions>> FleetAbDriver::DecideDay(
-    const std::vector<DayContext>& ctxs) const {
-  PHOEBE_RETURN_NOT_OK(specs_status_);
-  if (ctxs.size() != arms_.size()) {
-    return Status::InvalidArgument(
-        StrFormat("day contexts cover %zu arms, driver has %zu", ctxs.size(),
-                  arms_.size()));
-  }
-  std::vector<FleetDayDecisions> decisions;
-  decisions.reserve(arms_.size());
-  for (size_t k = 0; k < arms_.size(); ++k) {
-    PHOEBE_ASSIGN_OR_RETURN(FleetDayDecisions d, arms_[k]->DecideDay(ctxs[k]));
-    decisions.push_back(std::move(d));
-  }
-  return decisions;
-}
-
-Result<FleetAbDriver::AbDayResult> FleetAbDriver::RunDay(
-    const std::vector<DayContext>& ctxs) {
-  PHOEBE_ASSIGN_OR_RETURN(std::vector<FleetDayDecisions> decisions,
-                          DecideDay(ctxs));
-  return ReplayDay(ctxs, decisions);
-}
-
-Result<FleetAbDriver::AbDayResult> FleetAbDriver::ReplayDay(
-    const std::vector<DayContext>& ctxs,
-    const std::vector<FleetDayDecisions>& precomputed) {
-  PHOEBE_RETURN_NOT_OK(specs_status_);
-  if (ctxs.size() != arms_.size()) {
-    return Status::InvalidArgument(
-        StrFormat("day contexts cover %zu arms, driver has %zu", ctxs.size(),
-                  arms_.size()));
-  }
-  if (precomputed.size() != arms_.size()) {
-    return Status::InvalidArgument(
-        StrFormat("precomputed decisions cover %zu arms, driver has %zu",
-                  precomputed.size(), arms_.size()));
-  }
-  AbDayResult result;
-  result.decisions = precomputed;
-  result.reports.reserve(arms_.size());
-  for (size_t k = 0; k < arms_.size(); ++k) {
-    PHOEBE_ASSIGN_OR_RETURN(FleetDayReport report,
-                            arms_[k]->ReplayDay(ctxs[k], precomputed[k]));
-    result.reports.push_back(std::move(report));
-  }
-  PHOEBE_ASSIGN_OR_RETURN(
-      result.comparison,
-      BuildAbDayComparison(ctxs, specs_, result.decisions, result.reports));
-  return result;
 }
 
 }  // namespace phoebe::core

@@ -1,16 +1,17 @@
-// Differential fleet A/B harness: N decision arms, each over its own
-// DayContext for one day index — copies of one context when the arms share a
-// workload, or per-arm contexts so scenario arms can decide a
-// differently-generated workload for the same day.
+// Differential fleet A/B: N arms decide one day index, each through its own
+// FleetDriver, and BuildAbDayComparison turns their decisions and reports
+// into the paired per-day comparison. Arms that share a workload decide the
+// identical jobs vector; scenario arms decide a differently-generated
+// workload for the same day.
 //
 // "Is the new model/config better?" is only answerable when the
-// alternatives are costed against *identical* inputs. The arm/context split
-// in core/fleet.h makes that structural: one DayContext (jobs + stats,
-// generated once) drives N DecisionArms — each an immutable bundle plus its
-// own FleetConfig, template cache, scratch arenas, and metrics prefix — and
-// every arm's FleetDayReport is byte-identical to the report that arm would
-// have produced in a standalone single-arm run (core_fleet_ab_test pins
-// this across threads, cache modes, and sharding).
+// alternatives are costed against *identical* inputs. Each arm is a plain
+// FleetDriver — an immutable bundle plus its own FleetConfig, template
+// cache, scratch arenas, and metrics prefix — that the caller runs with
+// DecideDay then ReplayDay, the same decide/replay split a shard merge uses.
+// So every arm's FleetDayReport is byte-identical to the report that arm
+// would have produced in a standalone RunDay (core_fleet_ab_test pins this
+// across threads, cache modes, and sharding).
 //
 // The harness's artifact is the paired per-day comparison: per-arm cost and
 // realized saving, the decision diff against arm 0 (byte-diff of the
@@ -35,7 +36,6 @@
 // the same neutrality contract the lifecycle day-report JSON keeps.
 #pragma once
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -43,17 +43,12 @@
 
 namespace phoebe::core {
 
-/// \brief One arm of a differential run: a serving engine (borrowed; must
-/// outlive the driver) plus the fleet config it decides under.
+/// \brief What the paired comparison records about one arm.
 struct FleetArmSpec {
   /// Report label. Must be non-empty and free of whitespace (it is a token
   /// in the paired-report text format); unique across the run's arms.
   std::string name;
-  const DecisionEngine* engine = nullptr;
-  FleetConfig config;
-  /// Checksum of the arm's bundle (0 for config-only arms over a shared
-  /// bundle) — stamped into the paired report and the per-arm shard
-  /// sections.
+  /// Checksum of the arm's bundle, stamped into the paired report.
   uint32_t bundle_checksum = 0;
 };
 
@@ -110,19 +105,23 @@ struct AbDayComparison {
   std::vector<AbArmDelta> deltas;
 };
 
-/// Build the paired comparison for one day from every arm's decide-phase
-/// output and replayed report. `ctxs`, `specs`, `decisions`, and `reports`
-/// are parallel (one entry per arm, >= 1); `ctxs` holds one DayContext per
-/// arm, all sharing one day index, and arm k's decisions must hold
-/// `ctxs[k].jobs->size()` slots. Pure function — this is the consumer the
-/// shadow path reuses. Scenario arms decide a differently-generated
-/// workload, so a job-slot byte diff against arm 0 is meaningless there —
-/// decision and admission flips are computed only for arms whose `jobs`
-/// pointer *is* arm 0's vector (callers pass the identical vector for
-/// shared-context arms); other arms report zero flips but still carry
-/// saving/cost deltas. `jobs` in the result is arm 0's day size.
+/// The arm-name check every paired comparison runs: at least one arm, and
+/// every name non-empty, whitespace-free, and unique. The CLI runs it on its
+/// planned arms before it trains anything.
+Status ValidateArmSpecs(const std::vector<FleetArmSpec>& specs);
+
+/// Build the paired comparison for `day` from every arm's decide-phase
+/// output and replayed report. `specs`, `jobs`, `decisions`, and `reports`
+/// are parallel (one entry per arm, >= 1), and arm k's decisions and report
+/// must cover `jobs[k]->size()` slots. Pure function. Scenario arms decide a
+/// differently-generated workload, so a job-slot byte diff against arm 0 is
+/// meaningless there — decision and admission flips are computed only for
+/// arms whose `jobs` pointer *is* arm 0's vector (callers pass the identical
+/// vector for arms that share a workload); other arms report zero flips but
+/// still carry saving/cost deltas. `jobs` in the result is arm 0's day size.
 Result<AbDayComparison> BuildAbDayComparison(
-    const std::vector<DayContext>& ctxs, const std::vector<FleetArmSpec>& specs,
+    int day, const std::vector<FleetArmSpec>& specs,
+    const std::vector<const std::vector<workload::JobInstance>*>& jobs,
     const std::vector<FleetDayDecisions>& decisions,
     const std::vector<FleetDayReport>& reports);
 
@@ -135,67 +134,5 @@ std::string SerializeAbReport(const std::vector<AbDayComparison>& days);
 /// version 1); any malformed line, count mismatch, or trailing byte is an
 /// error.
 Result<std::vector<AbDayComparison>> ParseAbReport(const std::string& text);
-
-/// \brief Runs N arms over shared day contexts and emits paired comparisons.
-///
-/// Each arm is a full DecisionArm: its own template cache, admission
-/// calibration, per-phase scratch arenas, and (when the specs carry
-/// namespaced registries) its own metric names. The driver itself owns no
-/// day state — callers build one DayContext per day and every arm decides
-/// exactly those jobs. Every day-level entry point takes one DayContext per
-/// arm; arms that share a day pass copies of one context.
-class FleetAbDriver {
- public:
-  /// `specs` must hold >= 1 arm with non-null engines and unique,
-  /// token-safe names; violations surface as a failed status from every
-  /// entry point (same pattern as FleetConfig validation).
-  explicit FleetAbDriver(std::vector<FleetArmSpec> specs);
-
-  size_t num_arms() const { return arms_.size(); }
-  const FleetArmSpec& spec(size_t k) const { return specs_[k]; }
-  DecisionArm& arm(size_t k) { return *arms_[k]; }
-  const DecisionArm& arm(size_t k) const { return *arms_[k]; }
-
-  /// Calibrate every arm's admission threshold: arm k calibrates from
-  /// `histories[k]` (scenario arms calibrate against their own workload's
-  /// history).
-  Status Calibrate(const std::vector<DayContext>& histories);
-
-  /// \brief One day under every arm: per-arm decisions, per-arm reports
-  /// (byte-identical to that arm's standalone run), and the paired
-  /// comparison.
-  struct AbDayResult {
-    AbDayComparison comparison;
-    std::vector<FleetDayDecisions> decisions;  ///< per arm
-    std::vector<FleetDayReport> reports;       ///< per arm
-  };
-
-  /// Decide + replay the day under every arm: arm k decides `ctxs[k]` (one
-  /// context per arm, all sharing one day index) with fresh decisions and no
-  /// cache interaction, then replays cache + admission in arrival order —
-  /// the same decide/replay split a shard merge uses, so each arm's report
-  /// is byte-identical to a standalone FleetDriver::RunDay under that arm's
-  /// engine and config. Scenario arms run one day under per-arm workloads
-  /// this way; arms passed the identical jobs vector keep the full flip diff
-  /// (see BuildAbDayComparison).
-  Result<AbDayResult> RunDay(const std::vector<DayContext>& ctxs);
-
-  /// Decide phase only, every arm: arm k decides `ctxs[k]` — the per-arm
-  /// work a shard process performs (see fleet_shard.h's v3 per-arm
-  /// sections).
-  Result<std::vector<FleetDayDecisions>> DecideDay(
-      const std::vector<DayContext>& ctxs) const;
-
-  /// RunDay with every arm's decide phase replaced by `precomputed`
-  /// (parallel to the arms; from DecideDay, possibly in another process):
-  /// arm k replays `precomputed[k]` over `ctxs[k]`.
-  Result<AbDayResult> ReplayDay(const std::vector<DayContext>& ctxs,
-                                const std::vector<FleetDayDecisions>& precomputed);
-
- private:
-  Status specs_status_;
-  std::vector<FleetArmSpec> specs_;
-  std::vector<std::unique_ptr<DecisionArm>> arms_;
-};
 
 }  // namespace phoebe::core

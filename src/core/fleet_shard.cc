@@ -10,11 +10,9 @@ namespace phoebe::core {
 namespace {
 
 constexpr const char* kMagic = "phoebe_shard";
-/// Maximum parseable format version. v2 added the optional per-day `report`
-/// section; v3 added per-day `arm` sections for A/B runs; v1 blobs
-/// (decisions only) still parse. The serializer stamps the lowest version
-/// that can express the blob (2 without arm sections, 3 with), so output for
-/// pre-v3 content is byte-identical to the pre-v3 serializer's.
+/// Maximum parseable format version. v3 added per-day `arm` sections for A/B
+/// runs; v1 and v2 blobs (decisions only) still parse. The serializer stamps
+/// 2 without arm sections and 3 with them.
 constexpr int kFormatVersion = 3;
 constexpr int kMinFormatVersion = 1;
 
@@ -98,78 +96,6 @@ Status ParseJobDecisionFromTokens(const std::vector<std::string>& jt,
   return Status::OK();
 }
 
-/// Serialize one day's embedded report section: the aggregate `report` line
-/// plus one `outcome` line per job. Doubles print as %.17g so the parse
-/// round-trips bit-exactly; outcome cut bitsets are not repeated (the
-/// decision records carry them).
-std::string SerializeDayReportSection(const FleetDayReport& report) {
-  std::string out = StrFormat(
-      "report %d %d %d %.17g %.17g %.17g %.17g %lld %lld %lld\n",
-      report.jobs_considered, report.jobs_with_cut, report.jobs_admitted,
-      report.storage_used_bytes, report.total_temp_byte_seconds,
-      report.realized_saving_byte_seconds, report.knapsack_threshold,
-      static_cast<long long>(report.cache_hits),
-      static_cast<long long>(report.cache_misses),
-      static_cast<long long>(report.cache_evictions));
-  for (size_t i = 0; i < report.outcomes.size(); ++i) {
-    const FleetJobOutcome& o = report.outcomes[i];
-    out += StrFormat("outcome %zu %lld %d %.17g %.17g %.17g\n", i,
-                     static_cast<long long>(o.job_id), o.admitted ? 1 : 0,
-                     o.global_bytes, o.predicted_value, o.realized_value);
-  }
-  return out;
-}
-
-/// Parse the day report section whose `report` line tokens are `rt`,
-/// consuming the `outcome` lines (one per job slot) from `r`. Cut bitsets
-/// are reconstructed from `decisions` — the exact objects RunDay moves into
-/// the outcomes — so the rebuilt report is byte-identical to the one the
-/// shard serialized.
-Status ParseDayReportSection(const std::vector<std::string>& rt,
-                             const FleetDayDecisions& decisions, LineReader& r,
-                             FleetDayReport* out) {
-  FleetDayReport report;
-  int64_t hits = 0, misses = 0, evictions = 0;
-  if (rt.size() != 11 || rt[0] != "report" ||
-      !ParseInt32(rt[1], &report.jobs_considered).ok() ||
-      !ParseInt32(rt[2], &report.jobs_with_cut).ok() ||
-      !ParseInt32(rt[3], &report.jobs_admitted).ok() ||
-      !ParseFiniteDouble(rt[4], &report.storage_used_bytes).ok() ||
-      !ParseFiniteDouble(rt[5], &report.total_temp_byte_seconds).ok() ||
-      !ParseFiniteDouble(rt[6], &report.realized_saving_byte_seconds).ok() ||
-      !ParseFiniteDouble(rt[7], &report.knapsack_threshold).ok() ||
-      !ParseInt64(rt[8], &hits).ok() || !ParseInt64(rt[9], &misses).ok() ||
-      !ParseInt64(rt[10], &evictions).ok()) {
-    return Status::InvalidArgument("malformed report line: " + Join(rt, " "));
-  }
-  report.cache_hits = hits;
-  report.cache_misses = misses;
-  report.cache_evictions = evictions;
-  report.outcomes.resize(decisions.decisions.size());
-  for (size_t i = 0; i < decisions.decisions.size(); ++i) {
-    PHOEBE_ASSIGN_OR_RETURN(std::string line, r.Next());
-    std::vector<std::string> ot = Split(line, ' ');
-    int32_t index = -1, admitted = -1;
-    FleetJobOutcome& o = report.outcomes[i];
-    if (ot.size() != 7 || ot[0] != "outcome" || !ParseInt32(ot[1], &index).ok() ||
-        static_cast<size_t>(index) != i || !ParseInt64(ot[2], &o.job_id).ok() ||
-        !ParseInt32(ot[3], &admitted).ok() || (admitted != 0 && admitted != 1) ||
-        !ParseFiniteDouble(ot[4], &o.global_bytes).ok() ||
-        !ParseFiniteDouble(ot[5], &o.predicted_value).ok() ||
-        !ParseFiniteDouble(ot[6], &o.realized_value).ok()) {
-      return Status::InvalidArgument("malformed outcome line: " + line);
-    }
-    o.admitted = admitted == 1;
-    const std::optional<FleetDecision>& d = decisions.decisions[i];
-    if (d.has_value() && !d->cuts.empty()) {
-      o.cut = d->combined.cut;
-      o.cuts = d->cuts;
-    }
-  }
-  *out = std::move(report);
-  return Status::OK();
-}
-
 }  // namespace
 
 std::string SerializeJobDecisionRecord(size_t index,
@@ -201,9 +127,7 @@ Status ParseJobDecisionRecord(const std::string& text, size_t expected_index,
 
 Result<std::string> SerializeFleetShard(
     const FleetShardHeader& header, const std::map<int, FleetDayDecisions>& days,
-    const std::map<int, FleetDayReport>* reports,
-    const std::map<int, std::map<int, FleetDayDecisions>>* arm_days,
-    const std::map<int, std::map<int, FleetDayReport>>* arm_reports) {
+    const std::map<int, std::map<int, FleetDayDecisions>>* arm_days) {
   if (header.shard_count < 1 || header.shard_index < 0 ||
       header.shard_index >= header.shard_count) {
     return Status::InvalidArgument("invalid shard index/count");
@@ -221,68 +145,24 @@ Result<std::string> SerializeFleetShard(
     }
     (void)decisions;
   }
-  if (reports != nullptr) {
-    for (const auto& [day, report] : *reports) {
-      auto it = days.find(day);
-      if (it == days.end()) {
-        return Status::InvalidArgument(
-            StrFormat("report for day %d has no decision record", day));
-      }
-      if (report.outcomes.size() != it->second.decisions.size()) {
-        return Status::InvalidArgument(
-            StrFormat("report for day %d covers %zu jobs, decisions cover %zu", day,
-                      report.outcomes.size(), it->second.decisions.size()));
-      }
-    }
-  }
   bool has_arms = false;
   if (arm_days != nullptr) {
     for (const auto& [day, arms] : *arm_days) {
-      auto it = days.find(day);
-      if (it == days.end()) {
+      if (days.count(day) == 0) {
         return Status::InvalidArgument(
             StrFormat("arm sections for day %d have no arm-0 record", day));
       }
-      for (const auto& [arm, decisions] : arms) {
-        if (arm < 1) {
+      for (const auto& arm_entry : arms) {
+        if (arm_entry.first < 1) {
           return Status::InvalidArgument(StrFormat(
               "arm index %d for day %d must be >= 1 (arm 0 is the day record)",
-              arm, day));
-        }
-        if (decisions.decisions.size() != it->second.decisions.size()) {
-          return Status::InvalidArgument(StrFormat(
-              "arm %d of day %d covers %zu jobs, arm 0 covers %zu", arm, day,
-              decisions.decisions.size(), it->second.decisions.size()));
+              arm_entry.first, day));
         }
         has_arms = true;
       }
     }
   }
-  if (arm_reports != nullptr) {
-    for (const auto& [day, arms] : *arm_reports) {
-      const std::map<int, FleetDayDecisions>* day_arms = nullptr;
-      if (arm_days != nullptr) {
-        auto dit = arm_days->find(day);
-        if (dit != arm_days->end()) day_arms = &dit->second;
-      }
-      for (const auto& [arm, report] : arms) {
-        auto ait = day_arms == nullptr ? std::map<int, FleetDayDecisions>::const_iterator()
-                                       : day_arms->find(arm);
-        if (day_arms == nullptr || ait == day_arms->end()) {
-          return Status::InvalidArgument(StrFormat(
-              "report for arm %d of day %d has no decision record", arm, day));
-        }
-        if (report.outcomes.size() != ait->second.decisions.size()) {
-          return Status::InvalidArgument(StrFormat(
-              "report for arm %d of day %d covers %zu jobs, decisions cover %zu",
-              arm, day, report.outcomes.size(), ait->second.decisions.size()));
-        }
-      }
-    }
-  }
-
-  // Lowest version that can express the content: pre-v3 blobs must stay
-  // byte-identical to the pre-v3 serializer's output.
+  // Lowest version that can express the content: v2 without arm sections.
   std::string out = StrFormat("%s %d\n", kMagic, has_arms ? 3 : 2);
   out += StrFormat("shard %d %d days %d checksum %08x\n", header.shard_index,
                    header.shard_count, header.num_days, header.bundle_checksum);
@@ -290,10 +170,6 @@ Result<std::string> SerializeFleetShard(
     out += StrFormat("day %d jobs %zu\n", day, decisions.decisions.size());
     for (size_t i = 0; i < decisions.decisions.size(); ++i) {
       out += SerializeJobDecisionRecord(i, decisions.decisions[i]);
-    }
-    if (reports != nullptr) {
-      auto it = reports->find(day);
-      if (it != reports->end()) out += SerializeDayReportSection(it->second);
     }
     if (arm_days != nullptr) {
       auto dit = arm_days->find(day);
@@ -303,15 +179,6 @@ Result<std::string> SerializeFleetShard(
                            arm_decisions.decisions.size());
           for (size_t i = 0; i < arm_decisions.decisions.size(); ++i) {
             out += SerializeJobDecisionRecord(i, arm_decisions.decisions[i]);
-          }
-          if (arm_reports != nullptr) {
-            auto rit = arm_reports->find(day);
-            if (rit != arm_reports->end()) {
-              auto arit = rit->second.find(arm);
-              if (arit != rit->second.end()) {
-                out += SerializeDayReportSection(arit->second);
-              }
-            }
           }
           out += "end_arm\n";
         }
@@ -393,17 +260,6 @@ Result<FleetShardBlob> ParseFleetShard(const std::string& text) {
                                      &decisions.decisions[static_cast<size_t>(i)]));
     }
     PHOEBE_ASSIGN_OR_RETURN(std::string end_line, r.Next());
-    if (end_line.rfind("report ", 0) == 0) {  // v2: optional embedded report
-      if (version < 2) {
-        return Status::InvalidArgument(
-            "report section in a version-1 shard blob");
-      }
-      FleetDayReport report;
-      PHOEBE_RETURN_NOT_OK(
-          ParseDayReportSection(Split(end_line, ' '), decisions, r, &report));
-      blob.reports.emplace(day, std::move(report));
-      PHOEBE_ASSIGN_OR_RETURN(end_line, r.Next());
-    }
     int32_t last_arm = 0;
     while (end_line.rfind("arm ", 0) == 0) {  // v3: optional A/B arm sections
       if (version < 3) {
@@ -417,8 +273,8 @@ Result<FleetShardBlob> ParseFleetShard(const std::string& text) {
         return Status::InvalidArgument("malformed arm header: " + end_line);
       }
       // Arm 0 is the day's primary record; additional arms are strictly
-      // increasing and decide the same jobs.
-      if (arm <= last_arm || arm_jobs != num_jobs) {
+      // increasing, each over its own job count.
+      if (arm <= last_arm || arm_jobs < 0) {
         return Status::InvalidArgument("malformed arm header: " + end_line);
       }
       last_arm = arm;
@@ -431,13 +287,6 @@ Result<FleetShardBlob> ParseFleetShard(const std::string& text) {
             &arm_decisions.decisions[static_cast<size_t>(i)]));
       }
       PHOEBE_ASSIGN_OR_RETURN(std::string arm_end, r.Next());
-      if (arm_end.rfind("report ", 0) == 0) {
-        FleetDayReport report;
-        PHOEBE_RETURN_NOT_OK(ParseDayReportSection(Split(arm_end, ' '),
-                                                   arm_decisions, r, &report));
-        blob.arm_reports[day].emplace(arm, std::move(report));
-        PHOEBE_ASSIGN_OR_RETURN(arm_end, r.Next());
-      }
       if (arm_end != "end_arm") {
         return Status::InvalidArgument("expected end_arm, got: " + arm_end);
       }
@@ -483,14 +332,8 @@ Result<CombinedFleetShards> CombineFleetShards(
     for (const auto& [day, decisions] : blob.days) {
       merged.days.emplace(day, decisions);  // ParseFleetShard enforced ownership
     }
-    for (const auto& [day, report] : blob.reports) {
-      merged.reports.emplace(day, report);
-    }
     for (const auto& [day, arms] : blob.arm_days) {
       merged.arm_days.emplace(day, arms);
-    }
-    for (const auto& [day, arms] : blob.arm_reports) {
-      merged.arm_reports.emplace(day, arms);
     }
   }
   for (int s = 0; s < shard_count; ++s) {

@@ -23,34 +23,25 @@
 //     job <i> -                                    # ineligible (< 2 stages)
 //     job <i> <objective> <global_bytes> <k>       # doubles as %.17g
 //       cut <01-bitstring>                         # k lines, innermost-first
-//     report <considered> <with_cut> <admitted> <storage> <total_tbs>
-//            <realized> <threshold> <hits> <misses> <evictions>  # optional, v2
-//       outcome <i> <job_id> <admitted01> <global_bytes> <predicted> <realized>
-//                                                  # m lines when report present
 //   end_day
 //   ...
 //   end_shard
 //
-// Version 2 adds the optional per-day `report` section: a shard that ran the
-// day's full admission locally (only valid when the run is unbudgeted and
-// cache-off — then each day is independent of every other day and of
-// arrival-order cache state) embeds the finished FleetDayReport, and the
-// merge becomes report concatenation instead of a per-day ReplayDay. Outcome
-// cut bitsets are not repeated: the parser reconstructs them from the day's
-// decision records, which RunDay copies them from verbatim. Version-1 blobs
-// (no report sections) still parse.
+// A blob carries decisions only: it is a per-run intermediate tied to one
+// bundle checksum, and re-running the shards reproduces it, so the merge
+// always replays and never trusts a shard-side report. Versions 1 and 2
+// share this body (v2 once allowed embedded `report`/`outcome` sections,
+// which now fail to parse).
 //
 // Version 3 adds optional per-day *arm* sections for differential A/B runs
-// (core/fleet_ab.h): after the day's primary records (arm 0) and its
-// optional report, each additional arm k >= 1 embeds its own decisions —
-// same day, same job count — and optionally its own report:
-//   arm <k> jobs <m>          # k strictly increasing within the day
-//     job <i> ...             # m records, same line format as arm 0
-//     report ...              # optional, same format/conditions as arm 0
+// (core/fleet_ab.h): after the day's primary records (arm 0), each
+// additional arm k >= 1 carries its own decisions for the same day, over
+// its own job count (a scenario arm decides its own workload):
+//   arm <k> jobs <m_k>        # k strictly increasing within the day
+//     job <i> ...             # m_k records, same line format as arm 0
 //   end_arm
-// The serializer stamps version 3 only when an arm section is present, so
-// single-arm blobs stay byte-identical to v2 output; parsers reject arm
-// sections in v1/v2 blobs the way v1 rejects report sections.
+// The serializer stamps version 3 only when an arm section is present and
+// version 2 otherwise; parsers reject arm sections in v1/v2 blobs.
 #pragma once
 
 #include <map>
@@ -71,24 +62,16 @@ struct FleetShardHeader {
 };
 
 /// \brief A parsed shard blob: header + decisions for the days it owns, plus
-/// (v2, optional per day) the shard-side replayed report, plus (v3, optional
-/// per day) the additional arms' decisions/reports of an A/B run. Arm 0 of
-/// an A/B run is the primary `days`/`reports` pair, so single-arm consumers
-/// can read a v3 blob without knowing about arms.
+/// (v3, optional per day) the additional arms' decisions of an A/B run. Arm
+/// 0 of an A/B run is the primary `days` map, so single-arm consumers can
+/// read a v3 blob without knowing about arms.
 struct FleetShardBlob {
   FleetShardHeader header;
   std::map<int, FleetDayDecisions> days;  ///< day index -> decide-phase output
-  /// Days whose report the shard replayed locally (subset of `days`; empty
-  /// for v1 blobs or decide-only shards). Outcome cut/cuts are reconstructed
-  /// from the decision records at parse time.
-  std::map<int, FleetDayReport> reports;
   /// v3: day index -> arm index (>= 1) -> that arm's decide-phase output
-  /// over the same jobs. Every day with an entry here also appears in
-  /// `days` (its arm 0) with the same job count.
+  /// for the day. Every day with an entry here also appears in `days` (its
+  /// arm 0).
   std::map<int, std::map<int, FleetDayDecisions>> arm_days;
-  /// v3: shard-side replayed reports per additional arm (subset of
-  /// `arm_days`, same validity conditions as `reports`).
-  std::map<int, std::map<int, FleetDayReport>> arm_reports;
 };
 
 /// True iff shard `shard_index` of `shard_count` owns day `day`.
@@ -111,46 +94,33 @@ Status ParseJobDecisionRecord(const std::string& text, size_t expected_index,
                               std::optional<FleetDecision>* out);
 
 /// Serialize one shard's decisions. `days` must hold exactly the days the
-/// header's shard owns in [0, num_days). `reports`, if non-null, embeds the
-/// shard-side replayed report for each day it covers (every report day must
-/// also appear in `days`, with matching outcome count); callers must only
-/// pass reports from unbudgeted, cache-off runs — the only configuration
-/// where a day's report is independent of the other days. `arm_days` /
-/// `arm_reports`, if non-null, embed the additional arms of an A/B run
-/// (arm indices >= 1; every arm day must appear in `days` with the same job
-/// count, every arm report in `arm_days`). The blob is stamped version 3
-/// iff at least one arm section is written, version 2 otherwise.
+/// header's shard owns in [0, num_days). `arm_days`, if non-null, adds the
+/// additional arms of an A/B run (arm indices >= 1; every arm day must
+/// appear in `days`). The blob is stamped version 3 iff at least one arm
+/// section is written, version 2 otherwise.
 Result<std::string> SerializeFleetShard(
     const FleetShardHeader& header, const std::map<int, FleetDayDecisions>& days,
-    const std::map<int, FleetDayReport>* reports = nullptr,
-    const std::map<int, std::map<int, FleetDayDecisions>>* arm_days = nullptr,
-    const std::map<int, std::map<int, FleetDayReport>>* arm_reports = nullptr);
+    const std::map<int, std::map<int, FleetDayDecisions>>* arm_days = nullptr);
 
 /// Strict parse of a shard blob (format version 1, 2, or 3); any malformed
 /// line is an error.
 Result<FleetShardBlob> ParseFleetShard(const std::string& text);
 
 /// \brief Output of CombineFleetShards: the merged decision map (always
-/// complete over [0, num_days)) plus whatever shard-side reports the blobs
-/// embedded. When `reports` covers every day — and the merge-time config is
-/// unbudgeted and cache-off — the merge can emit them directly instead of
-/// replaying each day.
+/// complete over [0, num_days)) that the merge replays day by day.
 struct CombinedFleetShards {
   std::map<int, FleetDayDecisions> days;
-  std::map<int, FleetDayReport> reports;
-  /// v3 A/B runs: additional arms' decisions/reports, keyed like
-  /// FleetShardBlob's maps. Arm coverage is the caller's to check (the A/B
-  /// merge requires every day to carry the same arm set).
+  /// v3 A/B runs: additional arms' decisions, keyed like FleetShardBlob's
+  /// map. Arm coverage is the caller's to check (the A/B merge requires
+  /// every day to carry the same arm set).
   std::map<int, std::map<int, FleetDayDecisions>> arm_days;
-  std::map<int, std::map<int, FleetDayReport>> arm_reports;
 };
 
 /// Validate that `blobs` are the complete shard set of one run (headers
 /// agree, indices 0..N-1 appear exactly once, every day is present in its
 /// owner's blob and nowhere else) and merge them into one day->decisions map
-/// covering [0, num_days), carrying along any embedded shard-side reports.
-/// `expected_bundle_checksum` guards against merging blobs decided under a
-/// different artifact.
+/// covering [0, num_days). `expected_bundle_checksum` guards against merging
+/// blobs decided under a different artifact.
 Result<CombinedFleetShards> CombineFleetShards(
     const std::vector<FleetShardBlob>& blobs, uint32_t expected_bundle_checksum);
 

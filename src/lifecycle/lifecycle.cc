@@ -271,24 +271,22 @@ Result<LifecycleDayReport> LifecycleDriver::OnDayCompleted(
         bootstrap || report.candidate_cost < report.incumbent_cost;
     report.verdict = promote ? "promoted" : "rejected";
 
-    // 6. Shadow the rollover: incumbent and candidate run as two decision
-    // arms over one shared DayContext, and the diff consumes the paired
-    // decisions. Runs before any swap so both sides decide under their own
-    // model.
+    // 6. Shadow the rollover: incumbent and candidate decide the day's jobs
+    // through two fleet drivers, and the diff consumes the paired decisions.
+    // Runs before any swap so both sides decide under their own model.
     if (config_.shadow && !bootstrap) {
       obs::ScopedTimer t(metrics_.shadow_seconds);
       const telemetry::HistoricStats stats = repo->StatsBefore(day);
-      const core::DayContext ctx(day, jobs, stats);
       core::DecisionEngine candidate_engine(candidate);
       core::FleetConfig shadow_config = config_.fleet;
       shadow_config.metrics = nullptr;  // shadow traffic must not pollute fleet.*
-      core::DecisionArm candidate_arm(&candidate_engine, shadow_config);
-      // The serving arm decides the same context (DecideDay is const: no
+      core::FleetDriver candidate_driver(&candidate_engine, shadow_config);
+      // The serving driver decides the same jobs (DecideDay is const: no
       // cache interaction, so serving state is untouched).
       PHOEBE_ASSIGN_OR_RETURN(core::FleetDayDecisions incumbent_decisions,
-                              fleet_->arm().DecideDay(ctx));
+                              fleet_->DecideDay(jobs, stats));
       PHOEBE_ASSIGN_OR_RETURN(core::FleetDayDecisions candidate_decisions,
-                              candidate_arm.DecideDay(ctx));
+                              candidate_driver.DecideDay(jobs, stats));
       PHOEBE_ASSIGN_OR_RETURN(
           ShadowDayDiff diff,
           DiffShadowDecisions(day, incumbent_->checksum(), candidate->checksum(),

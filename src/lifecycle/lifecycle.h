@@ -17,10 +17,10 @@
 //     │  backtest window as two arms of one pass (EvaluateApproachArms),
 //     │  cost = 1 - mean realized saving; the candidate is promoted only on
 //     │  a strictly lower cost
-//     ├─ shadow mode (optional): incumbent and candidate run as two
-//     │  DecisionArms over the day's shared DayContext; their would-be
-//     │  decisions are serialized as shard-blob job records and byte-diffed
-//     │  (lifecycle/shadow.h — a paired-arm report consumer)
+//     ├─ shadow mode (optional): incumbent and candidate decide the day's
+//     │  jobs through two FleetDrivers (DecideDay, no cache or admission);
+//     │  their would-be decisions are serialized as shard-blob job records
+//     │  and byte-diffed (lifecycle/shadow.h)
 //     └─ one CRC-checked record is appended to the promotion log either way
 //
 // Determinism contract: every artifact the loop emits — the promotion log,

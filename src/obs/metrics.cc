@@ -7,14 +7,6 @@
 
 namespace phoebe::obs {
 
-Status MetricsConfig::Validate() const {
-  if (!enabled && !output_path.empty()) {
-    return Status::InvalidArgument(
-        "metrics output_path set but metrics are disabled");
-  }
-  return Status::OK();
-}
-
 Histogram::Histogram(std::vector<double> bounds)
     : bounds_(std::move(bounds)), buckets_(bounds_.size() + 1) {
   PHOEBE_CHECK_MSG(std::is_sorted(bounds_.begin(), bounds_.end()),

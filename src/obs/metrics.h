@@ -35,20 +35,7 @@
 #include <string>
 #include <vector>
 
-#include "common/status.h"
-
 namespace phoebe::obs {
-
-/// \brief Knobs for the observability layer (off by default).
-struct MetricsConfig {
-  /// Master switch: callers construct a registry (and pass it down the fleet
-  /// stack) only when enabled.
-  bool enabled = false;
-  /// Where the per-day telemetry JSONL goes; "" means "caller's stdout/none".
-  std::string output_path;
-
-  Status Validate() const;
-};
 
 /// \brief Monotonically increasing integer metric.
 class Counter {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -23,10 +24,64 @@ namespace {
 constexpr int kTrainDays = 3;
 constexpr int kFleetDays = 4;  ///< test days kTrainDays..kTrainDays+3
 
-/// One copy of `ctx` per arm: every arm decides the same jobs.
-std::vector<DayContext> PerArm(const FleetAbDriver& driver, const DayContext& ctx) {
-  return std::vector<DayContext>(driver.num_arms(), ctx);
-}
+/// The per-arm loop every A/B caller runs (`phoebe fleet-ab`, the A/B
+/// bench): one FleetDriver per arm; each day every arm decides (or takes
+/// precomputed decisions) and replays cache + admission, and
+/// BuildAbDayComparison pairs the results. Every arm decides the same jobs.
+class AbArms {
+ public:
+  struct Day {
+    AbDayComparison comparison;
+    std::vector<FleetDayReport> reports;  ///< per arm
+  };
+
+  void Add(std::string name, const FleetConfig& cfg, const DecisionEngine* engine,
+           uint32_t checksum) {
+    specs_.push_back({std::move(name), checksum});
+    drivers_.push_back(std::make_unique<FleetDriver>(engine, cfg));
+  }
+
+  size_t size() const { return drivers_.size(); }
+
+  void Calibrate(const std::vector<workload::JobInstance>& jobs,
+                 const telemetry::HistoricStats& stats) {
+    for (auto& driver : drivers_) driver->Calibrate(jobs, stats).Check();
+  }
+
+  /// Decide phase of arm k only (what a shard process runs).
+  FleetDayDecisions Decide(size_t k, const std::vector<workload::JobInstance>& jobs,
+                           const telemetry::HistoricStats& stats) const {
+    auto decisions = drivers_[k]->DecideDay(jobs, stats);
+    decisions.status().Check();
+    return std::move(*decisions);
+  }
+
+  /// One day under every arm; `precomputed` (one entry per arm) replaces the
+  /// decide phase, as a shard merge does.
+  Result<Day> RunDay(int day, const std::vector<workload::JobInstance>& jobs,
+                     const telemetry::HistoricStats& stats,
+                     std::vector<FleetDayDecisions> precomputed = {}) {
+    const bool replay = !precomputed.empty();
+    std::vector<FleetDayDecisions> decisions;
+    Day out;
+    for (size_t k = 0; k < size(); ++k) {
+      decisions.push_back(replay ? std::move(precomputed[k]) : Decide(k, jobs, stats));
+      PHOEBE_ASSIGN_OR_RETURN(FleetDayReport report,
+                              drivers_[k]->ReplayDay(jobs, stats, decisions.back()));
+      out.reports.push_back(std::move(report));
+    }
+    PHOEBE_ASSIGN_OR_RETURN(
+        out.comparison,
+        BuildAbDayComparison(
+            day, specs_, std::vector<const std::vector<workload::JobInstance>*>(size(), &jobs),
+            decisions, out.reports));
+    return out;
+  }
+
+ private:
+  std::vector<FleetArmSpec> specs_;
+  std::vector<std::unique_ptr<FleetDriver>> drivers_;
+};
 
 class FleetAbFixture : public ::testing::Test {
  protected:
@@ -61,12 +116,14 @@ class FleetAbFixture : public ::testing::Test {
 
   /// Two arms over the shared bundle: the baseline config and a two-cut
   /// variant (guaranteed to flip decisions, so diffs are non-trivial).
-  static std::vector<FleetArmSpec> TwoArms(const FleetConfig& base) {
+  static AbArms TwoArms(const FleetConfig& base) {
     FleetConfig twocut = base;
     twocut.num_cuts = 2;
     const uint32_t checksum = pipeline_->bundle()->checksum();
-    return {{"base", &pipeline_->engine(), base, checksum},
-            {"twocut", &pipeline_->engine(), twocut, checksum}};
+    AbArms arms;
+    arms.Add("base", base, &pipeline_->engine(), checksum);
+    arms.Add("twocut", twocut, &pipeline_->engine(), checksum);
+    return arms;
   }
 
   /// The serialized paired report of a full run under the given knobs.
@@ -82,19 +139,13 @@ class FleetAbFixture : public ::testing::Test {
       base.template_cache.capacity = 256;  // exact mode: byte-neutral
     }
     if (budgeted) base.storage_budget_bytes = 40e9;
-    FleetAbDriver driver(TwoArms(base));
-    if (budgeted) {
-      const auto& history = FleetDay(-1);
-      auto history_stats = FleetStats(-1);
-      driver.Calibrate(PerArm(driver, DayContext(-1, history, history_stats))).Check();
-    }
+    AbArms arms = TwoArms(base);
+    if (budgeted) arms.Calibrate(FleetDay(-1), FleetStats(-1));
 
     std::vector<AbDayComparison> days;
     if (shard_count == 1) {
       for (int d = 0; d < kFleetDays; ++d) {
-        const auto& jobs = FleetDay(d);
-        auto stats = FleetStats(d);
-        auto result = driver.RunDay(PerArm(driver, DayContext(d, jobs, stats)));
+        auto result = arms.RunDay(d, FleetDay(d), FleetStats(d));
         result.status().Check();
         days.push_back(std::move(result->comparison));
       }
@@ -104,25 +155,17 @@ class FleetAbFixture : public ::testing::Test {
     const uint32_t checksum = pipeline_->bundle()->checksum();
     std::vector<FleetShardBlob> blobs;
     for (int s = 0; s < shard_count; ++s) {
-      // Fresh driver per shard, exactly like an independent process.
-      FleetAbDriver shard_driver(TwoArms(base));
+      // Fresh drivers per shard, exactly like an independent process.
+      AbArms shard_arms = TwoArms(base);
       std::map<int, FleetDayDecisions> day_records;
       std::map<int, std::map<int, FleetDayDecisions>> arm_days;
       for (int d = 0; d < kFleetDays; ++d) {
         if (!ShardOwnsDay(d, s, shard_count)) continue;
-        const auto& jobs = FleetDay(d);
-        auto stats = FleetStats(d);
-        auto decisions =
-            shard_driver.DecideDay(PerArm(shard_driver, DayContext(d, jobs, stats)));
-        decisions.status().Check();
-        for (size_t k = 1; k < decisions->size(); ++k) {
-          arm_days[d].emplace(static_cast<int>(k), std::move((*decisions)[k]));
-        }
-        day_records.emplace(d, std::move(decisions->front()));
+        day_records.emplace(d, shard_arms.Decide(0, FleetDay(d), FleetStats(d)));
+        arm_days[d].emplace(1, shard_arms.Decide(1, FleetDay(d), FleetStats(d)));
       }
       FleetShardHeader header{s, shard_count, kFleetDays, checksum};
-      auto text = SerializeFleetShard(header, day_records, nullptr,
-                                      arm_days.empty() ? nullptr : &arm_days);
+      auto text = SerializeFleetShard(header, day_records, &arm_days);
       text.status().Check();
       auto parsed = ParseFleetShard(*text);  // round-trip through the file form
       parsed.status().Check();
@@ -131,13 +174,10 @@ class FleetAbFixture : public ::testing::Test {
     auto merged = CombineFleetShards(blobs, checksum);
     merged.status().Check();
     for (int d = 0; d < kFleetDays; ++d) {
-      const auto& jobs = FleetDay(d);
-      auto stats = FleetStats(d);
       std::vector<FleetDayDecisions> precomputed;
       precomputed.push_back(std::move(merged->days.at(d)));
       precomputed.push_back(std::move(merged->arm_days.at(d).at(1)));
-      auto result =
-          driver.ReplayDay(PerArm(driver, DayContext(d, jobs, stats)), precomputed);
+      auto result = arms.RunDay(d, FleetDay(d), FleetStats(d), std::move(precomputed));
       result.status().Check();
       days.push_back(std::move(result->comparison));
     }
@@ -153,30 +193,29 @@ workload::WorkloadGenerator* FleetAbFixture::gen_ = nullptr;
 telemetry::WorkloadRepository* FleetAbFixture::repo_ = nullptr;
 PhoebePipeline* FleetAbFixture::pipeline_ = nullptr;
 
-// The N=1 reseat guarantee, observed at the report level: each arm's
-// FleetDayReport inside an A/B run is byte-identical to the report a
-// standalone FleetDriver produces under that arm's engine and config —
-// unbudgeted and budgeted.
+// Each arm's FleetDayReport inside an A/B run (DecideDay + ReplayDay) is
+// byte-identical to the report a standalone FleetDriver produces with RunDay
+// under that arm's engine and config — unbudgeted and budgeted.
 TEST_F(FleetAbFixture, FleetAbArmReportsMatchStandaloneDriverBytes) {
   for (bool budgeted : {false, true}) {
     FleetConfig base;
     if (budgeted) base.storage_budget_bytes = 40e9;
     FleetConfig twocut = base;
     twocut.num_cuts = 2;
-    FleetAbDriver ab(TwoArms(base));
+    AbArms ab = TwoArms(base);
     FleetDriver solo_base(&pipeline_->engine(), base);
     FleetDriver solo_twocut(&pipeline_->engine(), twocut);
     if (budgeted) {
       const auto& history = FleetDay(-1);
       auto history_stats = FleetStats(-1);
-      ab.Calibrate(PerArm(ab, DayContext(-1, history, history_stats))).Check();
+      ab.Calibrate(history, history_stats);
       solo_base.Calibrate(history, history_stats).Check();
       solo_twocut.Calibrate(history, history_stats).Check();
     }
     for (int d = 0; d < kFleetDays; ++d) {
       const auto& jobs = FleetDay(d);
       auto stats = FleetStats(d);
-      auto result = ab.RunDay(PerArm(ab, DayContext(d, jobs, stats)));
+      auto result = ab.RunDay(d, jobs, stats);
       result.status().Check();
       auto base_report = solo_base.RunDay(jobs, stats);
       base_report.status().Check();
@@ -216,14 +255,11 @@ TEST_F(FleetAbFixture, FleetAbPairedReportByteIdenticalAcrossThreadsCacheShards)
 TEST_F(FleetAbFixture, FleetAbIdenticalArmsProduceZeroDiff) {
   FleetConfig base;
   const uint32_t checksum = pipeline_->bundle()->checksum();
-  std::vector<FleetArmSpec> specs = {
-      {"a", &pipeline_->engine(), base, checksum},
-      {"b", &pipeline_->engine(), base, checksum}};
-  FleetAbDriver driver(std::move(specs));
+  AbArms arms;
+  arms.Add("a", base, &pipeline_->engine(), checksum);
+  arms.Add("b", base, &pipeline_->engine(), checksum);
   for (int d = 0; d < kFleetDays; ++d) {
-    const auto& jobs = FleetDay(d);
-    auto stats = FleetStats(d);
-    auto result = driver.RunDay(PerArm(driver, DayContext(d, jobs, stats)));
+    auto result = arms.RunDay(d, FleetDay(d), FleetStats(d));
     result.status().Check();
     const AbDayComparison& cmp = result->comparison;
     ASSERT_EQ(cmp.arms.size(), 2u);
@@ -260,24 +296,34 @@ TEST_F(FleetAbFixture, FleetAbReportRoundTripsAndParsesStrictly) {
   EXPECT_FALSE(ParseAbReport(text + "stray\n").ok());
 }
 
-// Spec validation: every entry point fails fast on an empty arm list, a null
-// engine, duplicate names, or a name that is not token-safe. A single arm is
-// legal at the library layer (the CLI enforces >= 2).
+// Arm-name validation: the comparison fails fast on an empty arm list,
+// duplicate names, or a name that is not token-safe, through the same check
+// the CLI runs before training. A single arm is legal at the library layer
+// (the CLI enforces >= 2).
 TEST_F(FleetAbFixture, FleetAbRejectsInvalidSpecs) {
-  FleetConfig base;
-  const DecisionEngine* engine = &pipeline_->engine();
-  auto run = [&](std::vector<FleetArmSpec> specs) {
-    FleetAbDriver driver(std::move(specs));
-    const auto& jobs = FleetDay(0);
-    auto stats = FleetStats(0);
-    return driver.RunDay(PerArm(driver, DayContext(0, jobs, stats))).status();
+  FleetDriver driver(&pipeline_->engine(), FleetConfig{});
+  const auto& jobs = FleetDay(0);
+  auto stats = FleetStats(0);
+  auto decisions = driver.DecideDay(jobs, stats);
+  decisions.status().Check();
+  auto report = driver.ReplayDay(jobs, stats, *decisions);
+  report.status().Check();
+  auto compare = [&](const std::vector<FleetArmSpec>& specs) {
+    const size_t n = specs.size();
+    Status built =
+        BuildAbDayComparison(0, specs,
+                             std::vector<const std::vector<workload::JobInstance>*>(n, &jobs),
+                             std::vector<FleetDayDecisions>(n, *decisions),
+                             std::vector<FleetDayReport>(n, *report))
+            .status();
+    EXPECT_EQ(built.ok(), ValidateArmSpecs(specs).ok());
+    return built;
   };
-  EXPECT_FALSE(run({}).ok());
-  EXPECT_FALSE(run({{"a", nullptr, base, 0}}).ok());
-  EXPECT_FALSE(run({{"a", engine, base, 0}, {"a", engine, base, 0}}).ok());
-  EXPECT_FALSE(run({{"bad name", engine, base, 0}}).ok());
-  EXPECT_FALSE(run({{"", engine, base, 0}}).ok());
-  EXPECT_TRUE(run({{"solo", engine, base, 0}}).ok());
+  EXPECT_FALSE(compare({}).ok());
+  EXPECT_FALSE(compare({{"a", 0}, {"a", 0}}).ok());
+  EXPECT_FALSE(compare({{"bad name", 0}}).ok());
+  EXPECT_FALSE(compare({{"", 0}}).ok());
+  EXPECT_TRUE(compare({{"solo", 0}}).ok());
 }
 
 }  // namespace

@@ -109,42 +109,6 @@ class FleetShardFixture : public ::testing::Test {
     return out;
   }
 
-  /// The report stream of an N-shard run where each shard replays its days
-  /// locally (v2 embedded reports) and the merge is report concatenation —
-  /// no ReplayDay at merge time. Only valid unbudgeted + cache-off.
-  static std::string ShardSideReports(const FleetConfig& cfg, int shard_count) {
-    const uint32_t checksum = pipeline_->bundle()->checksum();
-    std::vector<FleetShardBlob> blobs;
-    for (int s = 0; s < shard_count; ++s) {
-      FleetDriver shard_driver(&pipeline_->engine(), cfg);
-      std::map<int, FleetDayDecisions> days;
-      std::map<int, FleetDayReport> reports;
-      for (int d = 0; d < kFleetDays; ++d) {
-        if (!ShardOwnsDay(d, s, shard_count)) continue;
-        auto decisions = shard_driver.DecideDay(FleetDay(d), FleetStats(d));
-        decisions.status().Check();
-        auto report = shard_driver.ReplayDay(FleetDay(d), FleetStats(d), *decisions);
-        report.status().Check();
-        days.emplace(d, std::move(*decisions));
-        reports.emplace(d, std::move(*report));
-      }
-      FleetShardHeader header{s, shard_count, kFleetDays, checksum};
-      auto text = SerializeFleetShard(header, days, &reports);
-      text.status().Check();
-      auto parsed = ParseFleetShard(*text);
-      parsed.status().Check();
-      blobs.push_back(std::move(*parsed));
-    }
-    auto merged = CombineFleetShards(blobs, checksum);
-    merged.status().Check();
-    EXPECT_EQ(merged->reports.size(), static_cast<size_t>(kFleetDays));
-    std::string out;
-    for (int d = 0; d < kFleetDays; ++d) {
-      out += FleetDayReportJson(merged->reports.at(d), d) + "\n";
-    }
-    return out;
-  }
-
   static workload::WorkloadGenerator* gen_;
   static telemetry::WorkloadRepository* repo_;
   static PhoebePipeline* pipeline_;
@@ -174,67 +138,6 @@ TEST_F(FleetShardFixture, ShardMergeByteIdenticalCacheOff) {
   for (int n : {1, 2, 4}) {
     SCOPED_TRACE(n);
     EXPECT_EQ(expected, ShardedReports(cfg, /*budgeted=*/false, n));
-  }
-}
-
-TEST_F(FleetShardFixture, ShardSideReplayByteIdenticalToUnsharded) {
-  // v2 embedded reports: shards replay their own days and the merge is pure
-  // report concatenation — it must still be byte-for-byte the unsharded run.
-  FleetConfig cfg;
-  const std::string expected = SequentialReports(cfg, /*budgeted=*/false);
-  ASSERT_FALSE(expected.empty());
-  for (int n : {1, 2, 4}) {
-    SCOPED_TRACE(n);
-    EXPECT_EQ(expected, ShardSideReports(cfg, n));
-  }
-}
-
-TEST_F(FleetShardFixture, BlobWithReportsRoundTripIsIdentity) {
-  FleetDriver driver(&pipeline_->engine(), FleetConfig{});
-  auto decisions = driver.DecideDay(FleetDay(1), FleetStats(1));
-  ASSERT_TRUE(decisions.ok());
-  auto report = driver.ReplayDay(FleetDay(1), FleetStats(1), *decisions);
-  ASSERT_TRUE(report.ok());
-  std::map<int, FleetDayDecisions> days;
-  days.emplace(1, std::move(*decisions));
-  std::map<int, FleetDayReport> reports;
-  reports.emplace(1, *report);
-  FleetShardHeader header{1, 2, kFleetDays, pipeline_->bundle()->checksum()};
-  auto text = SerializeFleetShard(header, days, &reports);
-  ASSERT_TRUE(text.ok()) << text.status().ToString();
-  auto parsed = ParseFleetShard(*text);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  ASSERT_EQ(parsed->reports.size(), 1u);
-  // The reconstructed report renders to the same canonical JSON (outcome
-  // cut bitsets are rebuilt from the decision records, not re-serialized).
-  EXPECT_EQ(FleetDayReportJson(*report, 1),
-            FleetDayReportJson(parsed->reports.at(1), 1));
-  auto text2 = SerializeFleetShard(parsed->header, parsed->days, &parsed->reports);
-  ASSERT_TRUE(text2.ok());
-  EXPECT_EQ(*text, *text2);
-}
-
-TEST_F(FleetShardFixture, SerializeRejectsInconsistentReports) {
-  FleetDriver driver(&pipeline_->engine(), FleetConfig{});
-  auto decisions = driver.DecideDay(FleetDay(0), FleetStats(0));
-  ASSERT_TRUE(decisions.ok());
-  auto report = driver.ReplayDay(FleetDay(0), FleetStats(0), *decisions);
-  ASSERT_TRUE(report.ok());
-  std::map<int, FleetDayDecisions> days;
-  days.emplace(0, std::move(*decisions));
-  FleetShardHeader header{0, 2, kFleetDays, 0};
-  {
-    std::map<int, FleetDayReport> reports;  // report for a day not in `days`
-    reports.emplace(2, *report);
-    EXPECT_FALSE(SerializeFleetShard(header, days, &reports).ok());
-  }
-  {
-    std::map<int, FleetDayReport> reports;  // outcome count disagrees
-    FleetDayReport truncated = *report;
-    ASSERT_FALSE(truncated.outcomes.empty());
-    truncated.outcomes.pop_back();
-    reports.emplace(0, truncated);
-    EXPECT_FALSE(SerializeFleetShard(header, days, &reports).ok());
   }
 }
 
@@ -332,7 +235,6 @@ TEST_F(FleetShardFixture, CombineValidatesShardSet) {
   auto ok = CombineFleetShards({b0, b1}, checksum);
   ASSERT_TRUE(ok.ok()) << ok.status().ToString();
   EXPECT_EQ(ok->days.size(), static_cast<size_t>(kFleetDays));
-  EXPECT_TRUE(ok->reports.empty());  // decide-only shards embed no reports
 
   // Missing shard, duplicate shard, and wrong bundle all refuse.
   EXPECT_FALSE(CombineFleetShards({b0}, checksum).ok());
@@ -377,26 +279,29 @@ TEST_F(FleetShardFixture, ParseRejectsMalformedBlobs) {
     EXPECT_FALSE(ParseFleetShard(with_arm).ok());
   }
   {
-    // A version-1 blob is this same body minus report sections (this one has
-    // none) under the old header — it must keep parsing.
+    // A version-1 blob is this same body under the old header — it must keep
+    // parsing.
     std::string t = *text;
     t.replace(t.find(" 2\n"), 3, " 1\n");
     auto v1 = ParseFleetShard(t);
     ASSERT_TRUE(v1.ok()) << v1.status().ToString();
-    EXPECT_TRUE(v1->reports.empty());
-    // ...but a report section inside a version-1 blob is malformed.
-    std::string with_report = t;
+    EXPECT_EQ(v1->days.size(), 1u);
+  }
+  for (const char* version : {" 1\n", " 2\n", " 3\n"}) {
+    // Blobs carry decisions only: an embedded report section is malformed
+    // under every version, so a merge can only ever replay.
+    std::string with_report = *text;
+    with_report.replace(with_report.find(" 2\n"), 3, version);
     size_t end_day = with_report.find("end_day\n");
     ASSERT_NE(end_day, std::string::npos);
-    with_report.insert(end_day,
-                       "report 0 0 0 0 0 0 0 0 0 0\n");
-    EXPECT_FALSE(ParseFleetShard(with_report).ok());
+    with_report.insert(end_day, "report 0 0 0 0 0 0 0 0 0 0\n");
+    EXPECT_FALSE(ParseFleetShard(with_report).ok()) << version;
   }
 }
 
 TEST_F(FleetShardFixture, ArmSectionsRoundTripAsVersion3) {
   // An A/B shard: arm 0 (default config) is the day record, arm 1 (two cuts
-  // per job) rides in a v3 arm section with its own embedded report.
+  // per job) rides in a v3 arm section.
   FleetConfig cfg0;
   FleetConfig cfg1;
   cfg1.num_cuts = 2;
@@ -404,22 +309,16 @@ TEST_F(FleetShardFixture, ArmSectionsRoundTripAsVersion3) {
   FleetDriver arm1(&pipeline_->engine(), cfg1);
   std::map<int, FleetDayDecisions> days;
   std::map<int, std::map<int, FleetDayDecisions>> arm_days;
-  std::map<int, std::map<int, FleetDayReport>> arm_reports;
   for (int d = 0; d < kFleetDays; ++d) {
     auto d0 = arm0.DecideDay(FleetDay(d), FleetStats(d));
     auto d1 = arm1.DecideDay(FleetDay(d), FleetStats(d));
     d0.status().Check();
     d1.status().Check();
-    // Unbudgeted + cache-off, so the shard may replay its own days.
-    FleetDriver replay1(&pipeline_->engine(), cfg1);
-    auto r1 = replay1.ReplayDay(FleetDay(d), FleetStats(d), *d1);
-    r1.status().Check();
     days.emplace(d, std::move(*d0));
     arm_days[d].emplace(1, std::move(*d1));
-    arm_reports[d].emplace(1, std::move(*r1));
   }
   FleetShardHeader header{0, 1, kFleetDays, 0xabcd1234u};
-  auto text = SerializeFleetShard(header, days, nullptr, &arm_days, &arm_reports);
+  auto text = SerializeFleetShard(header, days, &arm_days);
   ASSERT_TRUE(text.ok()) << text.status().ToString();
   EXPECT_EQ(text->rfind("phoebe_shard 3\n", 0), 0u);
 
@@ -427,17 +326,10 @@ TEST_F(FleetShardFixture, ArmSectionsRoundTripAsVersion3) {
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(parsed->days.size(), days.size());
   ASSERT_EQ(parsed->arm_days.size(), arm_days.size());
-  ASSERT_EQ(parsed->arm_reports.size(), arm_reports.size());
   // Re-serializing the parsed blob reproduces the text byte for byte.
-  auto again = SerializeFleetShard(parsed->header, parsed->days, nullptr,
-                                   &parsed->arm_days, &parsed->arm_reports);
+  auto again = SerializeFleetShard(parsed->header, parsed->days, &parsed->arm_days);
   ASSERT_TRUE(again.ok()) << again.status().ToString();
   EXPECT_EQ(*again, *text);
-  // And the arm reports round-trip to the canonical JSON byte for byte.
-  for (const auto& [d, arms] : arm_reports) {
-    EXPECT_EQ(FleetDayReportJson(parsed->arm_reports.at(d).at(1), d),
-              FleetDayReportJson(arms.at(1), d));
-  }
 
   // The combine carries arm sections through to the merged maps.
   std::vector<FleetShardBlob> blobs;
@@ -445,16 +337,27 @@ TEST_F(FleetShardFixture, ArmSectionsRoundTripAsVersion3) {
   auto merged = CombineFleetShards(blobs, 0xabcd1234u);
   ASSERT_TRUE(merged.ok()) << merged.status().ToString();
   EXPECT_EQ(merged->arm_days.size(), arm_days.size());
-  EXPECT_EQ(merged->arm_reports.size(), arm_reports.size());
 
-  // Serializer-side validation: arm index 0 and job-count mismatches are
-  // structural errors, not silently written.
+  // Serializer-side validation: arm index 0 and an arm day without an arm-0
+  // record are structural errors, not silently written.
   std::map<int, std::map<int, FleetDayDecisions>> bad_arm;
   bad_arm[0].emplace(0, days.at(0));
-  EXPECT_FALSE(SerializeFleetShard(header, days, nullptr, &bad_arm).ok());
-  std::map<int, std::map<int, FleetDayDecisions>> short_arm;
-  short_arm[0].emplace(1, FleetDayDecisions{});
-  EXPECT_FALSE(SerializeFleetShard(header, days, nullptr, &short_arm).ok());
+  EXPECT_FALSE(SerializeFleetShard(header, days, &bad_arm).ok());
+  std::map<int, std::map<int, FleetDayDecisions>> orphan_arm;
+  orphan_arm[kFleetDays].emplace(1, days.at(0));
+  EXPECT_FALSE(SerializeFleetShard(header, days, &orphan_arm).ok());
+
+  // A scenario arm decides its own workload, so its section carries its own
+  // job count and still round-trips.
+  std::map<int, std::map<int, FleetDayDecisions>> scenario_arm = arm_days;
+  scenario_arm[0][2] = days.at(0);
+  scenario_arm[0][2].decisions.pop_back();
+  auto scenario_text = SerializeFleetShard(header, days, &scenario_arm);
+  ASSERT_TRUE(scenario_text.ok()) << scenario_text.status().ToString();
+  auto scenario_parsed = ParseFleetShard(*scenario_text);
+  ASSERT_TRUE(scenario_parsed.ok()) << scenario_parsed.status().ToString();
+  EXPECT_EQ(scenario_parsed->arm_days.at(0).at(2).decisions.size(),
+            scenario_arm[0][2].decisions.size());
 }
 
 TEST_F(FleetShardFixture, ReplayRejectsMismatchedDecisions) {

@@ -115,7 +115,7 @@ class ScenarioDeterminismFixture : public ::testing::Test {
         days.emplace(d, std::move(*decisions));
       }
       FleetShardHeader header{s, shard_count, kFleetDays, checksum};
-      auto text = SerializeFleetShard(header, days, nullptr);
+      auto text = SerializeFleetShard(header, days);
       text.status().Check();
       auto parsed = ParseFleetShard(*text);  // round-trip through the file form
       parsed.status().Check();

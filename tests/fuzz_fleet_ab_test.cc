@@ -109,7 +109,7 @@ std::string FreshV3BlobText() {
   std::map<int, std::map<int, core::FleetDayDecisions>> arm_days;
   arm_days[0].emplace(1, std::move(arm1));
   core::FleetShardHeader header{0, 1, 1, 0xdeadbeefu};
-  auto blob = core::SerializeFleetShard(header, days, nullptr, &arm_days);
+  auto blob = core::SerializeFleetShard(header, days, &arm_days);
   blob.status().Check();
   return *blob;
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "common/rng.h"
 #include "common/stats.h"
@@ -186,6 +187,15 @@ struct GbdtSweepCase {
   double subsample;
   double feature_fraction;
 };
+
+// Prints e.g. t50_l7_s100_f100 (fractions in percent). gtest lists each case
+// with this value, and CMake's test discovery names the ctest case after it
+// (Corners/GbdtSweepTest.ReasonableFitEverywhere/t50_l7_s100_f100) instead
+// of a raw byte dump of the struct.
+void PrintTo(const GbdtSweepCase& c, std::ostream* os) {
+  *os << "t" << c.trees << "_l" << c.leaves << "_s" << std::lround(c.subsample * 100)
+      << "_f" << std::lround(c.feature_fraction * 100);
+}
 
 class GbdtSweepTest : public ::testing::TestWithParam<GbdtSweepCase> {};
 

@@ -251,14 +251,5 @@ TEST(ObsRegistryTest, NamespacedSnapshotFiltersToThePrefix) {
   EXPECT_EQ(root.Snapshot().counters.size(), 2u);
 }
 
-TEST(ObsRegistryTest, MetricsConfigValidate) {
-  MetricsConfig cfg;
-  EXPECT_TRUE(cfg.Validate().ok());  // disabled default is valid
-  cfg.output_path = "telemetry.jsonl";
-  EXPECT_FALSE(cfg.Validate().ok());  // a path while disabled is a config bug
-  cfg.enabled = true;
-  EXPECT_TRUE(cfg.Validate().ok());
-}
-
 }  // namespace
 }  // namespace phoebe::obs

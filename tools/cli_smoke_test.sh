@@ -197,6 +197,31 @@ expect_exit 0 "fleet merge" -- \
 if ! diff -q "$WORKDIR/report_unsharded.jsonl" "$WORKDIR/report_merged.jsonl" >/dev/null; then
   fail "fleet: merged shard report differs from unsharded report"
 fi
+if grep -q "^report " "$WORKDIR/shard0.blob"; then
+  fail "fleet: shard blob embeds a report section (blobs carry decisions only)"
+fi
+
+# A wrong set of blobs is reported and exits 1, never aborts: one of two
+# shards, blobs decided under another bundle (--seed 8 trains a different
+# one), blobs decided over another workload (--templates 13, same bundle),
+# and single-arm fleet blobs offered to an A/B merge.
+expect_exit 1 "fleet merge of one of two blobs" -- \
+  "$CLI" fleet "${SMALL[@]}" --train-days 2 --days 2 \
+  --bundle "$WORKDIR/model.phoebe" --merge "$WORKDIR/shard0.blob"
+expect_stderr_contains "fleet merge of one of two blobs" "expected 2 shard blobs"
+expect_exit 1 "fleet merge under another bundle" -- \
+  "$CLI" fleet --templates 12 --seed 8 --train-days 2 --days 2 \
+  --merge "$WORKDIR/shard0.blob,$WORKDIR/shard1.blob"
+expect_stderr_contains "fleet merge under another bundle" "refusing to merge"
+expect_exit 1 "fleet merge over another workload" -- \
+  "$CLI" fleet --templates 13 --seed 3 --train-days 2 --days 2 \
+  --bundle "$WORKDIR/model.phoebe" --merge "$WORKDIR/shard0.blob,$WORKDIR/shard1.blob"
+expect_stderr_contains "fleet merge over another workload" "do not match"
+expect_exit 1 "fleet-ab merge of single-arm blobs" -- \
+  "$CLI" fleet-ab "${SMALL[@]}" --train-days 2 --days 2 \
+  --bundle "$WORKDIR/model.phoebe" --arm name=twocut,cuts=2 \
+  --merge "$WORKDIR/shard0.blob,$WORKDIR/shard1.blob"
+expect_stderr_contains "fleet-ab merge of single-arm blobs" "no arm-1 section"
 
 # telemetry export: --metrics writes per-day lines plus a cumulative 'run'
 # line, and must be byte-neutral — the JSON report with telemetry on is
@@ -228,6 +253,17 @@ expect_exit 2 "fleet-ab bad arm key" -- \
 expect_stderr_contains "fleet-ab bad arm key" "name|source|cuts|cache|bps"
 expect_exit 2 "fleet-ab bad arm source" -- \
   "$CLI" fleet-ab "${SMALL[@]}" --train-days 2 --arm source=nonsense
+# Bad arm names exit 2 before anything trains: the name arm 0 already has,
+# an empty name, and one name twice.
+expect_exit 2 "fleet-ab arm named like arm 0" -- \
+  "$CLI" fleet-ab "${SMALL[@]}" --train-days 2 --arm name=base
+expect_stderr_contains "fleet-ab arm named like arm 0" "duplicate arm name"
+expect_exit 2 "fleet-ab empty arm name" -- \
+  "$CLI" fleet-ab "${SMALL[@]}" --train-days 2 --arm name=
+expect_stderr_contains "fleet-ab empty arm name" "must be non-empty"
+expect_exit 2 "fleet-ab repeated arm name" -- \
+  "$CLI" fleet-ab "${SMALL[@]}" --train-days 2 --arm name=x --arm name=x
+expect_stderr_contains "fleet-ab repeated arm name" "duplicate arm name"
 
 # fleet-ab zero diff: two arms serving the same bundle must report zero
 # decision and admission flips.
@@ -330,6 +366,22 @@ expect_exit 0 "fleet-ab scenario arm" -- \
   --report "$WORKDIR/ab_scenario.txt"
 if ! grep -q "^arm 1 crowd" "$WORKDIR/ab_scenario.txt"; then
   fail "fleet-ab: scenario arm missing from the paired report"
+fi
+# A scenario arm's shard section carries its own job count, so the run
+# shards and merges back to the unsharded paired report.
+for s in 0 1; do
+  expect_exit 0 "fleet-ab scenario arm shard $s/2" -- \
+    "$CLI" fleet-ab "${SMALL[@]}" --train-days 2 --days 2 \
+    --bundle "$WORKDIR/model.phoebe" --arm name=crowd,scenario=flash-crowd \
+    --shard "$s/2" --out "$WORKDIR/ab_scenario$s.blob"
+done
+expect_exit 0 "fleet-ab scenario arm merge" -- \
+  "$CLI" fleet-ab "${SMALL[@]}" --train-days 2 --days 2 \
+  --bundle "$WORKDIR/model.phoebe" --arm name=crowd,scenario=flash-crowd \
+  --merge "$WORKDIR/ab_scenario0.blob,$WORKDIR/ab_scenario1.blob" \
+  --report "$WORKDIR/ab_scenario_merged.txt"
+if ! diff -q "$WORKDIR/ab_scenario.txt" "$WORKDIR/ab_scenario_merged.txt" >/dev/null; then
+  fail "fleet-ab: merged scenario-arm report differs from unsharded"
 fi
 expect_exit 2 "fleet-ab empty arm scenario" -- \
   "$CLI" fleet-ab "${SMALL[@]}" --train-days 2 --arm name=x,scenario=

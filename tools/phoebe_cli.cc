@@ -242,8 +242,9 @@ ShardTarget ShardTargetOrExit(const ArgParser& p, const char* command) {
 
 /// Read and parse every blob named by --merge (comma-separated) and combine
 /// them against the serving bundle. Returns false with the exit `*code` set
-/// (1 = unreadable or malformed blob, 2 = the blobs cover a different
-/// --days) after printing why.
+/// (1 = unreadable or malformed blob, or not the complete shard set of a run
+/// under this bundle; 2 = the blobs cover a different --days) after printing
+/// why.
 bool CombineShardBlobs(const std::string& merge, int num_days, uint32_t bundle_checksum,
                        core::CombinedFleetShards* out, int* code) {
   std::vector<core::FleetShardBlob> blobs;
@@ -272,10 +273,65 @@ bool CombineShardBlobs(const std::string& merge, int num_days, uint32_t bundle_c
     return false;
   }
   auto combined = core::CombineFleetShards(blobs, bundle_checksum);
-  combined.status().Check();
+  if (!combined.ok()) {
+    std::fprintf(stderr, "cannot merge shard blobs: %s\n",
+                 combined.status().ToString().c_str());
+    *code = 1;
+    return false;
+  }
   *out = std::move(*combined);
   return true;
 }
+
+/// The --metrics output `fleet`, `fleet-ab` and `lifecycle` share: a
+/// registry plus its open JSONL file when the flag names a path, neither
+/// otherwise. Telemetry is opt-in and strictly passive: a null registry
+/// compiles the whole instrumented path down to no-ops.
+class MetricsOutput {
+ public:
+  /// Open --metrics; false (after printing why) when the file cannot be
+  /// opened, which the command reports as exit 1.
+  bool Open(const ArgParser& p) {
+    path_ = p.GetString("metrics");
+    if (path_.empty()) return true;
+    registry_ = std::make_unique<obs::MetricsRegistry>();
+    file_.open(path_, std::ios::binary);
+    if (!file_) {
+      std::fprintf(stderr, "cannot open '%s'\n", path_.c_str());
+      return false;
+    }
+    return true;
+  }
+
+  obs::MetricsRegistry* registry() const { return registry_.get(); }
+
+  /// Bracket one day: EndDay writes the registry's delta since BeginDay as
+  /// that day's telemetry line.
+  void BeginDay() {
+    if (registry_) day_before_ = registry_->Snapshot();
+  }
+  void EndDay(int day) {
+    if (!registry_) return;
+    file_ << obs::TelemetryLineJson(
+                 obs::SnapshotDelta(day_before_, registry_->Snapshot()), "day", day)
+          << "\n";
+  }
+
+  /// Cumulative line last: whole-run totals, including merge and
+  /// calibration work that falls outside any single day window.
+  void Finish() {
+    if (!registry_) return;
+    file_ << obs::TelemetryLineJson(registry_->Snapshot(), "run", -1) << "\n";
+    file_.close();
+    std::fprintf(stderr, "wrote telemetry to %s\n", path_.c_str());
+  }
+
+ private:
+  std::string path_;
+  std::unique_ptr<obs::MetricsRegistry> registry_;
+  std::ofstream file_;
+  obs::MetricsSnapshot day_before_;
+};
 
 int CmdGenerate(int argc, char** argv) {
   ArgParser p("phoebe_cli generate",
@@ -655,32 +711,14 @@ int CmdFleet(int argc, char** argv) {
   if (!ParseOrReport(p, argc, argv, &code)) return code;
   core::FleetConfig cfg = FleetConfigOrExit(p, /*with_budget=*/true);
   const ShardTarget shard = ShardTargetOrExit(p, "fleet");
-
-  // Telemetry is opt-in and strictly passive: the registry only exists when
-  // --metrics names an output file, and a null registry compiles the whole
-  // instrumented path down to no-ops.
-  obs::MetricsConfig metrics_cfg;
-  metrics_cfg.output_path = p.GetString("metrics");
-  metrics_cfg.enabled = !metrics_cfg.output_path.empty();
-  if (Status st = metrics_cfg.Validate(); !st.ok()) {
-    std::fprintf(stderr, "%s\n", st.ToString().c_str());
-    return 2;
-  }
-  std::unique_ptr<obs::MetricsRegistry> registry;
-  std::ofstream metrics_file;
-  if (metrics_cfg.enabled) {
-    registry = std::make_unique<obs::MetricsRegistry>();
-    metrics_file.open(metrics_cfg.output_path, std::ios::binary);
-    if (!metrics_file) {
-      std::fprintf(stderr, "cannot open '%s'\n", metrics_cfg.output_path.c_str());
-      return 1;
-    }
-  }
+  MetricsOutput metrics;
+  if (!metrics.Open(p)) return 1;
+  obs::MetricsRegistry* registry = metrics.registry();
 
   const int num_days = std::max(1, p.GetInt("days"));
   Trained t = TrainFromArgs(p, num_days);
 
-  cfg.metrics = registry.get();
+  cfg.metrics = registry;
   const double budget_gb = p.GetDouble("budget-gb");
 
   // With --metrics, decide through a metrics-aware engine view over the same
@@ -689,8 +727,7 @@ int CmdFleet(int argc, char** argv) {
   std::unique_ptr<core::DecisionEngine> metric_engine;
   const core::DecisionEngine* engine = &t.phoebe.engine();
   if (registry) {
-    metric_engine =
-        std::make_unique<core::DecisionEngine>(t.phoebe.bundle(), registry.get());
+    metric_engine = std::make_unique<core::DecisionEngine>(t.phoebe.bundle(), registry);
     engine = metric_engine.get();
   }
   core::FleetDriver driver(engine, cfg);
@@ -702,28 +739,16 @@ int CmdFleet(int argc, char** argv) {
   if (shard.count > 0) {
     core::FleetShardHeader header{shard.index, shard.count, num_days,
                                   t.phoebe.bundle()->checksum()};
-    // Unbudgeted + cache-off runs have no cross-day state, so each shard can
-    // replay its own days and embed the finished reports (v2 blobs); the
-    // merge then degenerates to report concatenation. Budgeted or cached
-    // runs stay decide-only — admission and the cache are merge-time serial.
-    const bool shard_side_replay = budget_gb <= 0.0 && !cfg.template_cache.enabled;
     std::map<int, core::FleetDayDecisions> days;
-    std::map<int, core::FleetDayReport> reports;
     for (int d = 0; d < num_days; ++d) {
       if (!core::ShardOwnsDay(d, shard.index, shard.count)) continue;
       const auto& jobs = t.repo.Day(t.train_days + d);
       auto stats = t.repo.StatsBefore(t.train_days + d);
       auto decisions = driver.DecideDay(jobs, stats);
       decisions.status().Check();
-      if (shard_side_replay) {
-        auto report = driver.ReplayDay(jobs, stats, *decisions);
-        report.status().Check();
-        reports.emplace(d, std::move(*report));
-      }
       days.emplace(d, std::move(*decisions));
     }
-    auto blob = core::SerializeFleetShard(header, days,
-                                          shard_side_replay ? &reports : nullptr);
+    auto blob = core::SerializeFleetShard(header, days);
     blob.status().Check();
     std::ofstream f(shard.out, std::ios::binary);
     if (!f) {
@@ -733,9 +758,7 @@ int CmdFleet(int argc, char** argv) {
     f << *blob;
     std::fprintf(stderr, "shard %d/%d: wrote %zu of %d day(s) to %s\n", shard.index,
                  shard.count, days.size(), num_days, shard.out.c_str());
-    if (registry) {
-      metrics_file << obs::TelemetryLineJson(registry->Snapshot(), "run", -1) << "\n";
-    }
+    metrics.Finish();
     return 0;
   }
 
@@ -744,9 +767,7 @@ int CmdFleet(int argc, char** argv) {
   // replay serially here, so the reports are byte-identical to an unsharded
   // run with this same configuration.
   std::map<int, core::FleetDayDecisions> merged;
-  std::map<int, core::FleetDayReport> shard_reports;
   bool replay = false;
-  bool concat_reports = false;  // all days carry embedded shard-side reports
   std::string merge = p.GetString("merge");
   if (!merge.empty()) {
     obs::Histogram* merge_hist =
@@ -757,13 +778,7 @@ int CmdFleet(int argc, char** argv) {
       return code;
     }
     merged = std::move(m.days);
-    shard_reports = std::move(m.reports);
     replay = true;
-    // Embedded reports are only trusted when this merge's configuration is
-    // the one they are valid for (unbudgeted, cache off) and every day has
-    // one; otherwise fall back to the serial per-day replay.
-    concat_reports = budget_gb <= 0.0 && !cfg.template_cache.enabled &&
-                     static_cast<int>(shard_reports.size()) == num_days;
   }
 
   if (budget_gb > 0.0) {
@@ -783,23 +798,22 @@ int CmdFleet(int argc, char** argv) {
   }
 
   for (int d = 0; d < num_days; ++d) {
-    obs::MetricsSnapshot day_before;
-    if (registry) day_before = registry->Snapshot();
+    metrics.BeginDay();
     const auto& jobs = t.repo.Day(t.train_days + d);
     auto stats = t.repo.StatsBefore(t.train_days + d);
-    Result<core::FleetDayReport> report =
-        concat_reports ? Result<core::FleetDayReport>(std::move(shard_reports.at(d)))
-        : replay       ? driver.ReplayDay(jobs, stats, merged.at(d))
-                       : driver.RunDay(jobs, stats);
-    report.status().Check();
+    Result<core::FleetDayReport> report = replay
+                                              ? driver.ReplayDay(jobs, stats, merged.at(d))
+                                              : driver.RunDay(jobs, stats);
+    if (!report.ok()) {  // e.g. blobs decided over another workload
+      std::fprintf(stderr, "fleet day %d: %s\n", d, report.status().ToString().c_str());
+      return 1;
+    }
 
     std::printf("fleet day %d: %zu jobs, %d threads, %d cut(s)%s%s\n",
                 t.train_days + d, jobs.size(), ThreadPool::Resolve(cfg.num_threads),
                 cfg.num_cuts,
                 budget_gb > 0.0 ? StrFormat(", budget %.1f GB", budget_gb).c_str() : "",
-                concat_reports ? " (concatenated shard reports)"
-                : replay       ? " (merged from shards)"
-                               : "");
+                replay ? " (merged from shards)" : "");
     TablePrinter tab({"metric", "value"});
     tab.AddRow({"jobs considered", StrFormat("%d", report->jobs_considered)});
     tab.AddRow({"jobs with a cut", StrFormat("%d", report->jobs_with_cut)});
@@ -822,25 +836,14 @@ int CmdFleet(int argc, char** argv) {
     if (report_file.is_open()) {
       report_file << core::FleetDayReportJson(*report, d) << "\n";
     }
-    if (registry) {
-      metrics_file << obs::TelemetryLineJson(
-                          obs::SnapshotDelta(day_before, registry->Snapshot()),
-                          "day", d)
-                   << "\n";
-    }
+    metrics.EndDay(d);
   }
   if (report_file.is_open()) {
     report_file.close();
     std::fprintf(stderr, "wrote %d day report(s) to %s\n", num_days,
                  report_path.c_str());
   }
-  if (registry) {
-    // Cumulative line last: whole-run totals including merge/calibration work
-    // that falls outside any single day window.
-    metrics_file << obs::TelemetryLineJson(registry->Snapshot(), "run", -1) << "\n";
-    metrics_file.close();
-    std::fprintf(stderr, "wrote telemetry to %s\n", metrics_cfg.output_path.c_str());
-  }
+  metrics.Finish();
   return 0;
 }
 
@@ -913,8 +916,8 @@ Status ApplyArmSpec(const std::string& spec, core::FleetConfig* cfg,
 int CmdFleetAb(int argc, char** argv) {
   ArgParser p("phoebe_cli fleet-ab",
               "Differential fleet A/B: N decision arms (saved bundles and/or "
-              "--arm config variants) decide the same generated days over one "
-              "shared context. Arm 0 is the baseline every delta is measured "
+              "--arm config variants) decide the same generated days, one fleet "
+              "driver per arm. Arm 0 is the baseline every delta is measured "
               "against; each arm's day report is byte-identical to a "
               "standalone `fleet` run under that arm's engine and config. "
               "The fleet flags configure arm 0; telemetry names each arm's "
@@ -940,18 +943,9 @@ int CmdFleetAb(int argc, char** argv) {
   if (!ParseOrReport(p, argc, argv, &code)) return code;
   const core::FleetConfig base_cfg = FleetConfigOrExit(p, /*with_budget=*/true);
   const ShardTarget shard = ShardTargetOrExit(p, "fleet-ab");
-
-  std::unique_ptr<obs::MetricsRegistry> registry;
-  std::ofstream metrics_file;
-  const std::string metrics_path = p.GetString("metrics");
-  if (!metrics_path.empty()) {
-    registry = std::make_unique<obs::MetricsRegistry>();
-    metrics_file.open(metrics_path, std::ios::binary);
-    if (!metrics_file) {
-      std::fprintf(stderr, "cannot open '%s'\n", metrics_path.c_str());
-      return 1;
-    }
-  }
+  MetricsOutput metrics;
+  if (!metrics.Open(p)) return 1;
+  obs::MetricsRegistry* registry = metrics.registry();
 
   // Workload + history: the arm-independent half of the day loop, generated
   // exactly once no matter how many arms decide it.
@@ -965,17 +959,17 @@ int CmdFleetAb(int argc, char** argv) {
   const double budget_gb = p.GetDouble("budget-gb");
 
   // Arm plan: one arm per --bundle (arm 0 trains in-process when none are
-  // named), then one arm per --arm spec over the arm-0 bundle.
+  // named), then one arm per --arm spec over the arm-0 bundle. The names are
+  // checked before anything trains.
   struct ArmPlan {
     std::string name;
-    std::shared_ptr<const core::PipelineBundle> bundle;
+    std::shared_ptr<const core::PipelineBundle> bundle;  // null = arm 0's
     core::FleetConfig cfg;
     std::string scenario;  // empty = the run-level --scenario workload
   };
   std::vector<ArmPlan> plans;
-  core::PhoebePipeline trained;
   for (const std::string& path : p.GetStrings("bundle")) {
-    auto bundle = core::PipelineBundle::LoadFromFile(path, registry.get());
+    auto bundle = core::PipelineBundle::LoadFromFile(path, registry);
     if (!bundle.ok()) {
       std::fprintf(stderr, "cannot load '%s': %s\n", path.c_str(),
                    bundle.status().ToString().c_str());
@@ -984,13 +978,10 @@ int CmdFleetAb(int argc, char** argv) {
     plans.push_back(
         {StrFormat("bundle%zu", plans.size()), *bundle, base_cfg, ""});
   }
-  if (plans.empty()) {
-    trained.Train(repo, 0, train_days).Check();
-    plans.push_back({"base", trained.bundle(), base_cfg, ""});
-  }
+  const bool train_base = plans.empty();
+  if (train_base) plans.push_back({"base", nullptr, base_cfg, ""});
   for (const std::string& spec : p.GetStrings("arm")) {
-    ArmPlan plan{StrFormat("cfg%zu", plans.size()), plans.front().bundle,
-                 base_cfg, ""};
+    ArmPlan plan{StrFormat("cfg%zu", plans.size()), nullptr, base_cfg, ""};
     if (Status st = ApplyArmSpec(spec, &plan.cfg, &plan.name, &plan.scenario);
         !st.ok()) {
       std::fprintf(stderr, "%s\n", st.ToString().c_str());
@@ -1002,6 +993,21 @@ int CmdFleetAb(int argc, char** argv) {
     std::fprintf(stderr, "fleet-ab compares >= 2 arms; pass --bundle twice "
                  "and/or add --arm specs\n");
     return 2;
+  }
+  std::vector<core::FleetArmSpec> specs;
+  for (const ArmPlan& plan : plans) specs.push_back({plan.name, 0});
+  if (Status st = core::ValidateArmSpecs(specs); !st.ok()) {
+    std::fprintf(stderr, "%s\n", st.ToString().c_str());
+    return 2;
+  }
+  core::PhoebePipeline trained;
+  if (train_base) {
+    trained.Train(repo, 0, train_days).Check();
+    plans.front().bundle = trained.bundle();
+  }
+  for (size_t k = 0; k < plans.size(); ++k) {
+    if (plans[k].bundle == nullptr) plans[k].bundle = plans.front().bundle;
+    specs[k].bundle_checksum = plans[k].bundle->checksum();
   }
 
   // Per-arm workloads: arms without a scenario= key decide the run-level
@@ -1031,47 +1037,31 @@ int CmdFleetAb(int argc, char** argv) {
     arm_repos[k] = it->second.get();
   }
 
-  // Each arm decides through its own engine view (cheap: a const reader over
-  // the shared immutable bundle) so its engine.* and fleet.* metric names
-  // carry the arm's ab.arm<k>. prefix and never collide.
+  // One FleetDriver per arm, each deciding through its own engine view
+  // (cheap: a const reader over the shared immutable bundle) so its engine.*
+  // and fleet.* metric names carry the arm's ab.arm<k>. prefix and never
+  // collide.
+  const size_t num_arms = plans.size();
   std::vector<std::unique_ptr<core::DecisionEngine>> engines;
-  std::vector<core::FleetArmSpec> specs;
-  for (size_t k = 0; k < plans.size(); ++k) {
+  std::vector<core::FleetDriver> drivers;
+  drivers.reserve(num_arms);
+  for (size_t k = 0; k < num_arms; ++k) {
     obs::MetricsRegistry* arm_metrics =
         registry ? registry->Namespaced(StrFormat("ab.arm%zu.", k)) : nullptr;
     plans[k].cfg.metrics = arm_metrics;
     engines.push_back(
         std::make_unique<core::DecisionEngine>(plans[k].bundle, arm_metrics));
-    core::FleetArmSpec spec;
-    spec.name = plans[k].name;
-    spec.engine = engines.back().get();
-    spec.config = plans[k].cfg;
-    spec.bundle_checksum = plans[k].bundle->checksum();
-    specs.push_back(std::move(spec));
+    drivers.emplace_back(engines.back().get(), plans[k].cfg);
   }
-  core::FleetAbDriver driver(std::move(specs));
-
-  // One DayContext per arm for a repository day: scenario arms read their
-  // own repo, the rest read the run-level one. `stats` owns the per-arm
-  // stats views the contexts point into (stable across the struct's move).
-  struct DayInputs {
-    std::vector<telemetry::HistoricStats> stats;
-    std::vector<core::DayContext> ctxs;
-  };
-  auto MakeArmContexts = [&](int day_index, int repo_day) {
-    DayInputs in;
-    in.stats.reserve(arm_repos.size());
-    for (auto* r : arm_repos) in.stats.push_back(r->StatsBefore(repo_day));
-    in.ctxs.reserve(arm_repos.size());
-    for (size_t k = 0; k < arm_repos.size(); ++k) {
-      in.ctxs.emplace_back(day_index, arm_repos[k]->Day(repo_day), in.stats[k]);
-    }
-    return in;
-  };
 
   if (budget_gb > 0.0) {
-    DayInputs hist = MakeArmContexts(-1, train_days - 1);
-    driver.Calibrate(hist.ctxs).Check();
+    // Scenario arms calibrate against their own workload's history.
+    for (size_t k = 0; k < num_arms; ++k) {
+      drivers[k]
+          .Calibrate(arm_repos[k]->Day(train_days - 1),
+                     arm_repos[k]->StatsBefore(train_days - 1))
+          .Check();
+    }
   }
 
   // --shard I/N: decide-only mode. Arm 0's decisions are the blob's regular
@@ -1079,20 +1069,23 @@ int CmdFleetAb(int argc, char** argv) {
   // the whole differential run's decide phase for the days it owns.
   if (shard.count > 0) {
     core::FleetShardHeader header{shard.index, shard.count, num_days,
-                                  driver.spec(0).bundle_checksum};
+                                  specs.front().bundle_checksum};
     std::map<int, core::FleetDayDecisions> days;
     std::map<int, std::map<int, core::FleetDayDecisions>> arm_days;
     for (int d = 0; d < num_days; ++d) {
       if (!core::ShardOwnsDay(d, shard.index, shard.count)) continue;
-      DayInputs in = MakeArmContexts(d, train_days + d);
-      auto decisions = driver.DecideDay(in.ctxs);
-      decisions.status().Check();
-      for (size_t k = 1; k < decisions->size(); ++k) {
-        arm_days[d].emplace(static_cast<int>(k), std::move((*decisions)[k]));
+      for (size_t k = 0; k < num_arms; ++k) {
+        auto decisions = drivers[k].DecideDay(arm_repos[k]->Day(train_days + d),
+                                              arm_repos[k]->StatsBefore(train_days + d));
+        decisions.status().Check();
+        if (k == 0) {
+          days.emplace(d, std::move(*decisions));
+        } else {
+          arm_days[d].emplace(static_cast<int>(k), std::move(*decisions));
+        }
       }
-      days.emplace(d, std::move(decisions->front()));
     }
-    auto blob = core::SerializeFleetShard(header, days, nullptr,
+    auto blob = core::SerializeFleetShard(header, days,
                                           arm_days.empty() ? nullptr : &arm_days);
     blob.status().Check();
     std::ofstream f(shard.out, std::ios::binary);
@@ -1102,11 +1095,9 @@ int CmdFleetAb(int argc, char** argv) {
     }
     f << *blob;
     std::fprintf(stderr, "shard %d/%d: wrote %zu of %d day(s) x %zu arm(s) to %s\n",
-                 shard.index, shard.count, days.size(), num_days, driver.num_arms(),
+                 shard.index, shard.count, days.size(), num_days, num_arms,
                  shard.out.c_str());
-    if (registry) {
-      metrics_file << obs::TelemetryLineJson(registry->Snapshot(), "run", -1) << "\n";
-    }
+    metrics.Finish();
     return 0;
   }
 
@@ -1119,8 +1110,20 @@ int CmdFleetAb(int argc, char** argv) {
   std::string merge = p.GetString("merge");
   if (!merge.empty()) {
     core::CombinedFleetShards m;
-    if (!CombineShardBlobs(merge, num_days, driver.spec(0).bundle_checksum, &m, &code)) {
+    if (!CombineShardBlobs(merge, num_days, specs.front().bundle_checksum, &m, &code)) {
       return code;
+    }
+    for (int d = 0; d < num_days; ++d) {
+      for (size_t k = 1; k < num_arms; ++k) {
+        auto ait = m.arm_days.find(d);
+        if (ait == m.arm_days.end() || ait->second.count(static_cast<int>(k)) == 0) {
+          std::fprintf(stderr,
+                       "cannot merge shard blobs: they carry no arm-%zu section "
+                       "for day %d\n",
+                       k, d);
+          return 1;
+        }
+      }
     }
     merged = std::move(m.days);
     merged_arms = std::move(m.arm_days);
@@ -1128,11 +1131,11 @@ int CmdFleetAb(int argc, char** argv) {
   }
 
   std::string report_path = p.GetString("report");
-  std::string arm_reports_prefix = p.GetString("arm-reports");
+  std::string arm_report_prefix = p.GetString("arm-reports");
   std::vector<std::unique_ptr<std::ofstream>> arm_report_files;
-  if (!arm_reports_prefix.empty()) {
-    for (size_t k = 0; k < driver.num_arms(); ++k) {
-      std::string path = StrFormat("%s%zu.jsonl", arm_reports_prefix.c_str(), k);
+  if (!arm_report_prefix.empty()) {
+    for (size_t k = 0; k < num_arms; ++k) {
+      std::string path = StrFormat("%s%zu.jsonl", arm_report_prefix.c_str(), k);
       auto f = std::make_unique<std::ofstream>(path, std::ios::binary);
       if (!*f) {
         std::fprintf(stderr, "cannot open '%s'\n", path.c_str());
@@ -1144,35 +1147,43 @@ int CmdFleetAb(int argc, char** argv) {
 
   std::vector<core::AbDayComparison> all_days;
   for (int d = 0; d < num_days; ++d) {
-    obs::MetricsSnapshot day_before;
-    if (registry) day_before = registry->Snapshot();
-    DayInputs in = MakeArmContexts(d, train_days + d);
-    auto result = [&]() -> Result<core::FleetAbDriver::AbDayResult> {
-      if (!replay) return driver.RunDay(in.ctxs);
-      std::vector<core::FleetDayDecisions> pre;
-      pre.push_back(std::move(merged.at(d)));
-      auto ait = merged_arms.find(d);
-      for (size_t k = 1; k < driver.num_arms(); ++k) {
-        if (ait == merged_arms.end() ||
-            ait->second.find(static_cast<int>(k)) == ait->second.end()) {
-          return Status::InvalidArgument(StrFormat(
-              "shard blobs carry no arm-%zu section for day %d", k, d));
-        }
-        pre.push_back(std::move(ait->second.at(static_cast<int>(k))));
+    metrics.BeginDay();
+    // Each arm decides (or takes its merged decisions) and replays cache +
+    // admission in arrival order: the same split a shard merge uses, so each
+    // arm's report is byte-identical to a standalone RunDay.
+    std::vector<const std::vector<workload::JobInstance>*> jobs;
+    std::vector<core::FleetDayDecisions> decisions;
+    std::vector<core::FleetDayReport> reports;
+    for (size_t k = 0; k < num_arms; ++k) {
+      const auto& arm_jobs = arm_repos[k]->Day(train_days + d);
+      const telemetry::HistoricStats stats = arm_repos[k]->StatsBefore(train_days + d);
+      jobs.push_back(&arm_jobs);
+      if (replay) {
+        decisions.push_back(std::move(k == 0 ? merged.at(d)
+                                             : merged_arms.at(d).at(static_cast<int>(k))));
+      } else {
+        auto decided = drivers[k].DecideDay(arm_jobs, stats);
+        decided.status().Check();
+        decisions.push_back(std::move(*decided));
       }
-      return driver.ReplayDay(in.ctxs, pre);
-    }();
-    result.status().Check();
-    const core::AbDayComparison& cmp = result->comparison;
+      auto report = drivers[k].ReplayDay(arm_jobs, stats, decisions.back());
+      if (!report.ok()) {  // e.g. blobs decided over another workload
+        std::fprintf(stderr, "fleet-ab day %d, arm %zu: %s\n", d, k,
+                     report.status().ToString().c_str());
+        return 1;
+      }
+      reports.push_back(std::move(*report));
+    }
+    auto cmp = core::BuildAbDayComparison(d, specs, jobs, decisions, reports);
+    cmp.status().Check();
 
-    std::printf("fleet-ab day %d: %d jobs, %zu arms%s%s\n", d, cmp.jobs,
-                driver.num_arms(),
+    std::printf("fleet-ab day %d: %d jobs, %zu arms%s%s\n", d, cmp->jobs, num_arms,
                 budget_gb > 0.0 ? StrFormat(", budget %.1f GB", budget_gb).c_str() : "",
                 replay ? " (merged from shards)" : "");
     TablePrinter tab({"arm", "saving %", "cost", "flips", "admission", "cost delta"});
-    for (size_t k = 0; k < cmp.arms.size(); ++k) {
-      const core::AbArmDaySummary& a = cmp.arms[k];
-      const core::AbArmDelta& delta = cmp.deltas[k];
+    for (size_t k = 0; k < cmp->arms.size(); ++k) {
+      const core::AbArmDaySummary& a = cmp->arms[k];
+      const core::AbArmDelta& delta = cmp->deltas[k];
       tab.AddRow({a.name, StrFormat("%.1f", 100.0 * a.saving_fraction),
                   StrFormat("%.4f", a.cost),
                   k == 0 ? "-" : StrFormat("%d", delta.decision_flips),
@@ -1182,16 +1193,10 @@ int CmdFleetAb(int argc, char** argv) {
     tab.Print();
 
     for (size_t k = 0; k < arm_report_files.size(); ++k) {
-      *arm_report_files[k] << core::FleetDayReportJson(result->reports[k], d)
-                           << "\n";
+      *arm_report_files[k] << core::FleetDayReportJson(reports[k], d) << "\n";
     }
-    all_days.push_back(std::move(result->comparison));
-    if (registry) {
-      metrics_file << obs::TelemetryLineJson(
-                          obs::SnapshotDelta(day_before, registry->Snapshot()),
-                          "day", d)
-                   << "\n";
-    }
+    all_days.push_back(std::move(*cmp));
+    metrics.EndDay(d);
   }
   if (!report_path.empty()) {
     std::ofstream f(report_path, std::ios::binary);
@@ -1201,17 +1206,13 @@ int CmdFleetAb(int argc, char** argv) {
     }
     f << core::SerializeAbReport(all_days);
     std::fprintf(stderr, "wrote paired report (%d day(s), %zu arms) to %s\n",
-                 num_days, driver.num_arms(), report_path.c_str());
+                 num_days, num_arms, report_path.c_str());
   }
   if (!arm_report_files.empty()) {
     std::fprintf(stderr, "wrote per-arm day reports to %s{0..%zu}.jsonl\n",
-                 arm_reports_prefix.c_str(), driver.num_arms() - 1);
+                 arm_report_prefix.c_str(), num_arms - 1);
   }
-  if (registry) {
-    metrics_file << obs::TelemetryLineJson(registry->Snapshot(), "run", -1) << "\n";
-    metrics_file.close();
-    std::fprintf(stderr, "wrote telemetry to %s\n", metrics_path.c_str());
-  }
+  metrics.Finish();
   return 0;
 }
 
@@ -1280,18 +1281,8 @@ int CmdLifecycle(int argc, char** argv) {
   }
   lifecycle::LifecycleConfig cfg;
   cfg.fleet = FleetConfigOrExit(p, /*with_budget=*/false);
-
-  std::unique_ptr<obs::MetricsRegistry> registry;
-  std::ofstream metrics_file;
-  const std::string metrics_path = p.GetString("metrics");
-  if (!metrics_path.empty()) {
-    registry = std::make_unique<obs::MetricsRegistry>();
-    metrics_file.open(metrics_path, std::ios::binary);
-    if (!metrics_file) {
-      std::fprintf(stderr, "cannot open '%s'\n", metrics_path.c_str());
-      return 1;
-    }
-  }
+  MetricsOutput metrics;
+  if (!metrics.Open(p)) return 1;
 
   cfg.policy.min_exec_r2 = p.GetDouble("policy-min-r2");
   cfg.policy.max_age_days = p.GetInt("policy-max-age");
@@ -1311,7 +1302,7 @@ int CmdLifecycle(int argc, char** argv) {
   }
   cfg.retention_days = p.GetInt("retention-days");
   cfg.out_dir = out_dir;
-  cfg.metrics = registry.get();
+  cfg.metrics = metrics.registry();
   // The scenario shapes both halves of the loop: MakeGen below generates the
   // shaped workload, and a failure-storm's MTBF spikes reach the canary
   // backtest through the per-day factor (a no-op ×1.0 for other presets).
@@ -1330,8 +1321,7 @@ int CmdLifecycle(int argc, char** argv) {
   const int num_days = std::max(1, p.GetInt("days"));
   int promotions = 0, rejections = 0;
   for (int d = 0; d < num_days; ++d) {
-    obs::MetricsSnapshot day_before;
-    if (registry) day_before = registry->Snapshot();
+    metrics.BeginDay();
     repo.AddDay(d, gen.GenerateDay(d)).Check();
     auto report = driver.OnDayCompleted(&repo, d);
     if (!report.ok()) {
@@ -1361,12 +1351,7 @@ int CmdLifecycle(int argc, char** argv) {
       std::printf("  shadow: %d of %d job records differ\n",
                   report->shadow_differing, report->shadow_jobs);
     }
-    if (registry) {
-      metrics_file << obs::TelemetryLineJson(
-                          obs::SnapshotDelta(day_before, registry->Snapshot()),
-                          "day", d)
-                   << "\n";
-    }
+    metrics.EndDay(d);
   }
   std::printf("lifecycle: %d day(s), %zu retrain(s), %d promoted, %d rejected; "
               "serving %08x\n",
@@ -1374,12 +1359,7 @@ int CmdLifecycle(int argc, char** argv) {
               rejections, driver.incumbent_checksum());
   std::fprintf(stderr, "artifacts in %s/ (promotion.log, day_reports.jsonl, "
                "current.phoebe)\n", out_dir.c_str());
-  if (registry) {
-    metrics_file << obs::TelemetryLineJson(registry->Snapshot(), "run", -1)
-                 << "\n";
-    metrics_file.close();
-    std::fprintf(stderr, "wrote telemetry to %s\n", metrics_path.c_str());
-  }
+  metrics.Finish();
   return 0;
 }
 

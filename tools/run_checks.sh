@@ -38,8 +38,8 @@ run_config build-asan "asan+ubsan" -DCMAKE_BUILD_TYPE=Debug -DPHOEBE_SANITIZE=ON
 # live traffic), the lifecycle determinism suite (full retrain/promote
 # loops at 4 decision threads), and the per-worker decide-scratch arenas
 # (FleetScratch: warm-arena reuse across threads must stay byte-neutral),
-# and the A/B harness (FleetAb: per-arm decide fan-out on the shared day
-# context must stay byte-identical across thread counts), and the scenario
+# and the A/B harness (FleetAb: one fleet driver per arm over the same day
+# must stay byte-identical across thread counts), and the scenario
 # determinism matrix (ScenarioDeterminism: every hostile-workload preset's
 # fleet reports across threads x cache x shards).
 # The full suite under TSan is too slow for a local gate, and the
